@@ -36,7 +36,9 @@
 #                                   withdrawals (throughput + sampled p99
 #                                   latency) at 1/64/1024 consumers, plus
 #                                   the single-stripe serialization
-#                                   baseline (DESIGN.md §8)
+#                                   baseline, and stream claims against
+#                                   a 64 kbit / 8 Mbit ledger backlog
+#                                   (DESIGN.md §8)
 #   qnet    -> BENCH_qnet.json      unified QKD network layer: one
 #                                   end-to-end striped transport (route,
 #                                   reserve, per-hop OTP, reconstruct)
@@ -46,7 +48,9 @@
 #                                   inbound open through SPD+SAD on the
 #                                   cached key schedules (AES + OTP),
 #                                   single-packet and 64-packet batched
-#                                   paths, plus 8 tunnels in parallel
+#                                   paths, plus 8 tunnels in parallel,
+#                                   and one SAD rollover install against
+#                                   64 / 1024 / 25,000 tunnels
 #                                   (DESIGN.md §10-11)
 #   flow    -> BENCH_flow.json      closed-loop replenishment control:
 #                                   foreground credit-controller and
@@ -141,7 +145,7 @@ run_distill_group() {
 }
 
 run_kms_group() {
-    run . 'BenchmarkKMS_Withdraw(1|64|1024|1024Serial)$'
+    run . 'BenchmarkKMS_(Withdraw(1|64|1024|1024Serial)|ClaimBacklog)$'
     emit BENCH_kms.json
 }
 
@@ -151,7 +155,7 @@ run_qnet_group() {
 }
 
 run_ipsec_group() {
-    run ./internal/ipsec/ 'BenchmarkGateway_(SealAES|OpenAES|SealOTP|Parallel|SealAESBatch|OpenAESBatch|SealOTPBatch|ParallelBatch)$'
+    run ./internal/ipsec/ 'Benchmark(Gateway_(SealAES|OpenAES|SealOTP|Parallel|SealAESBatch|OpenAESBatch|SealOTPBatch|ParallelBatch)|SAD_Rollover)$'
     emit BENCH_ipsec.json
 }
 

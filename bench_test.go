@@ -193,3 +193,36 @@ func BenchmarkKMS_Withdraw1024(b *testing.B) { benchKMSWithdraw(b, 1024, 16) }
 func BenchmarkKMS_Withdraw1024Serial(b *testing.B) {
 	benchKMSWithdraw(b, 1024, 1)
 }
+
+// BenchmarkKMS_ClaimBacklog is one allocate-and-claim of a 576-bit
+// stream block (Stream.Next) while the ledger holds a standing backlog
+// of 64 kbit or 8 Mbit, topped up by one block per claim. Ledger upkeep
+// must not grow with the backlog: claims retire their range in
+// amortized O(1) per bit.
+func BenchmarkKMS_ClaimBacklog(b *testing.B) {
+	const claimBits = 576
+	for _, bc := range []struct {
+		name    string
+		backlog int
+	}{{"64k", 64 << 10}, {"8M", 8 << 20}} {
+		b.Run(bc.name, func(b *testing.B) {
+			svc := kms.New(kms.Config{})
+			defer svc.Close()
+			st, err := svc.NewStream("bench", claimBits, kms.ClassOTP)
+			if err != nil {
+				b.Fatal(err)
+			}
+			gen := rng.NewSplitMix64(1)
+			svc.Ingest(gen.Bits(bc.backlog))
+			refill := gen.Bits(claimBits)
+			b.SetBytes(claimBits / 8)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				svc.Ingest(refill)
+				if _, _, err := st.Next(1, time.Second, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

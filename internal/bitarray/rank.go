@@ -1,6 +1,9 @@
 package bitarray
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // This file holds the positional indexes Cascade's dichotomic searches
 // run on. A parity subset is a mask over the sifted key; the searches
@@ -46,8 +49,12 @@ func (r *Rank) Build(mask *BitArray) {
 // Count returns the number of set bits (subset members).
 func (r *Rank) Count() int { return r.count }
 
-// Select returns the bit position of the k-th set bit, 0-based.
+// Select returns the bit position of the k-th set bit, 0-based. It
+// panics unless 0 <= k < Count.
 func (r *Rank) Select(k int) int {
+	if k < 0 || k >= r.count {
+		panic(fmt.Sprintf("bitarray: Select(%d) out of range [0,%d)", k, r.count))
+	}
 	w := r.findWord(k)
 	s := k + 1 - int(r.cum[w])
 	return w<<6 + selectWord(r.mask[w], s)

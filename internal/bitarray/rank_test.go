@@ -78,6 +78,33 @@ func TestRankSelectSparseAndDense(t *testing.T) {
 	}
 }
 
+func TestRankSelectOutOfRangePanics(t *testing.T) {
+	mask := New(256)
+	mask.Set(3, 1)
+	mask.Set(200, 1)
+	r := NewRank(mask)
+	for _, k := range []int{-1, 2, 3, 1000} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Select(%d) on a %d-member mask did not panic", k, r.Count())
+				}
+			}()
+			r.Select(k)
+		}()
+	}
+	// The empty index has no valid rank at all.
+	empty := NewRank(New(0))
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Select(0) on an empty mask did not panic")
+			}
+		}()
+		empty.Select(0)
+	}()
+}
+
 func TestParityIndexMatchesNaive(t *testing.T) {
 	p := &prng{s: 77}
 	for _, n := range []int{1, 64, 65, 1000, 4096} {

@@ -19,7 +19,10 @@ import (
 // Outbound SAs are indexed by the policy they serve, and per-tunnel
 // inbound rollover generations keep the database bounded: a
 // superseded SA drains for a grace window and is then removed instead
-// of decrypting forever.
+// of decrypting forever. Superseded generations wait in a retirement
+// queue in supersession order; every one of them is due DefaultGrace
+// after its supersession, so the queue is also in due order and a
+// sweep touches only the generations it retires, never every tunnel.
 type SAD struct {
 	peerMu sync.RWMutex
 	peers  map[Addr]*peerSAD
@@ -27,8 +30,9 @@ type SAD struct {
 	outbound sync.Map // policy name -> *SA
 	outCount atomic.Int64
 
-	genMu sync.Mutex
-	gens  map[string]*saGenerations
+	genMu    sync.Mutex
+	gens     map[string]*saGenerations
+	retiring []retirement // superseded generations, earliest due first
 }
 
 // peerSAD is one peer gateway's inbound SPI index.
@@ -39,10 +43,21 @@ type peerSAD struct {
 
 // saGenerations chains a tunnel direction's inbound SAs: cur decrypts
 // new traffic, prev drains in-flight packets until its grace deadline.
+// Each generation remembers the peer bucket it was filed under, so a
+// tunnel that moves to another peer gateway still removes its old
+// generations from the old bucket.
 type saGenerations struct {
-	peer Addr
-	cur  *SA
-	prev *SA
+	cur, prev         *SA
+	curPeer, prevPeer Addr
+}
+
+// retirement is one retirement-queue entry: a superseded generation of
+// a tunnel direction. A newer rollover that removes the generation
+// before its grace closes leaves the entry stale (g.prev != sa), and
+// the sweep drops it without touching the SAD again.
+type retirement struct {
+	g  *saGenerations
+	sa *SA
 }
 
 // NewSAD returns an empty database.
@@ -90,6 +105,14 @@ func (b *peerSAD) remove(spi uint32) {
 	}
 }
 
+// removeSA deletes sa only while its SPI still maps to it, so retiring
+// a generation can never remove a newer SA that reused the SPI.
+func (b *peerSAD) removeSA(sa *SA) {
+	if b.bySPI.CompareAndDelete(sa.SPI, sa) {
+		b.count.Add(-1)
+	}
+}
+
 func (b *peerSAD) get(spi uint32) *SA {
 	if v, ok := b.bySPI.Load(spi); ok {
 		return v.(*SA)
@@ -116,26 +139,28 @@ func (d *SAD) InstallInboundPeer(peer Addr, sa *SA) {
 // predecessor keeps decrypting in-flight traffic until the grace
 // window closes; any generation older than that is removed
 // immediately, so the inbound index stays bounded by two generations
-// per tunnel no matter how often IKE renegotiates.
+// per tunnel no matter how often IKE renegotiates. The install then
+// sweeps the retirement queue, which costs amortized O(1): each
+// superseded generation is queued once and popped once.
 func (d *SAD) InstallInboundFor(policyName string, peer Addr, sa *SA) {
 	d.InstallInboundPeer(peer, sa)
 	d.genMu.Lock()
+	defer d.genMu.Unlock()
 	g := d.gens[policyName]
 	if g == nil {
 		g = &saGenerations{}
 		d.gens[policyName] = g
 	}
-	g.peer = peer
 	if g.prev != nil && g.prev != sa {
-		d.removeInboundPeer(g.peer, g.prev.SPI)
+		d.removeInboundPeer(g.prevPeer, g.prev)
 	}
 	if g.cur != nil && g.cur != sa {
 		g.cur.Supersede(g.cur.clockNow().Add(DefaultGrace))
-		g.prev = g.cur
+		g.prev, g.prevPeer = g.cur, g.curPeer
+		d.retiring = append(d.retiring, retirement{g: g, sa: g.cur})
 	}
-	g.cur = sa
-	d.genMu.Unlock()
-	d.Sweep()
+	g.cur, g.curPeer = sa, peer
+	d.sweepLocked()
 }
 
 // Sweep removes superseded generations whose grace window has closed.
@@ -143,12 +168,29 @@ func (d *SAD) InstallInboundFor(policyName string, peer Addr, sa *SA) {
 func (d *SAD) Sweep() {
 	d.genMu.Lock()
 	defer d.genMu.Unlock()
-	for _, g := range d.gens {
-		if g.prev != nil && g.prev.Retired() {
-			d.removeInboundPeer(g.peer, g.prev.SPI)
-			g.prev = nil
+	d.sweepLocked()
+}
+
+// sweepLocked pops the retirement queue's head while it is due or
+// stale. Every generation retires DefaultGrace after its supersession
+// and the queue is in supersession order, so the first live entry
+// still in grace ends the sweep: its cost is the entries it pops. A
+// popped slot is cleared, so the queue's spent prefix pins no SA.
+func (d *SAD) sweepLocked() {
+	q := d.retiring
+	for len(q) > 0 {
+		r := q[0]
+		if r.g.prev == r.sa {
+			if !r.sa.Retired() {
+				break
+			}
+			d.removeInboundPeer(r.g.prevPeer, r.sa)
+			r.g.prev = nil
 		}
+		q[0] = retirement{}
+		q = q[1:]
 	}
+	d.retiring = q
 }
 
 // InstallOutbound registers an SA to protect a policy's traffic,
@@ -221,19 +263,21 @@ func (d *SAD) RemoveInbound(spi uint32) {
 	}
 }
 
-// removeInboundPeer deletes an inbound SA from one peer's bucket.
-func (d *SAD) removeInboundPeer(peer Addr, spi uint32) {
+// removeInboundPeer deletes an inbound SA from the peer bucket it was
+// filed under.
+func (d *SAD) removeInboundPeer(peer Addr, sa *SA) {
 	if b := d.peerIfAny(peer); b != nil {
-		b.remove(spi)
+		b.removeSA(sa)
 	}
 }
 
-// Reset drops every SA — inbound buckets, outbound map and generation
-// chains — modelling a gateway whose kernel SAD died with its process.
-// Concurrent dataplane traffic is safe: in-flight packets simply miss
-// (ErrNoSA / ErrUnknownSPI) and drive resynchronization; concurrent SA
-// installation must be quiesced by the caller (the vpn layer's restart
-// path holds its control-plane lock across the reset).
+// Reset drops every SA — inbound buckets, outbound map, generation
+// chains and the retirement queue — modelling a gateway whose kernel
+// SAD died with its process. Concurrent dataplane traffic is safe:
+// in-flight packets simply miss (ErrNoSA / ErrUnknownSPI) and drive
+// resynchronization; concurrent SA installation must be quiesced by
+// the caller (the vpn layer's restart path holds its control-plane
+// lock across the reset).
 func (d *SAD) Reset() {
 	d.peerMu.Lock()
 	d.peers = make(map[Addr]*peerSAD)
@@ -245,6 +289,7 @@ func (d *SAD) Reset() {
 	d.outCount.Store(0)
 	d.genMu.Lock()
 	d.gens = make(map[string]*saGenerations)
+	d.retiring = nil
 	d.genMu.Unlock()
 }
 

@@ -729,6 +729,49 @@ func TestInstallInboundForBoundsGenerations(t *testing.T) {
 	}
 }
 
+// TestInstallInboundForPeerChange moves a tunnel direction to another
+// peer gateway mid-chain: each superseded generation must leave the
+// bucket it was filed under, not the tunnel's current peer's bucket.
+func TestInstallInboundForPeerChange(t *testing.T) {
+	d := NewSAD()
+	now := time.Unix(3000, 0)
+	clock := func() time.Time { return now }
+	key := randKey(SuiteAES128CTR.KeyBits()/8, 47)
+	x, y := MustAddr("192.1.99.36"), MustAddr("192.1.99.37")
+	var gens []*SA
+	for i, peer := range []Addr{x, y, y} {
+		sa, _ := NewSA(uint32(7100+i), SuiteAES128CTR, key, Lifetime{})
+		sa.SetClock(clock)
+		d.InstallInboundFor("p", peer, sa)
+		gens = append(gens, sa)
+	}
+	if in, _ := d.Count(); in != 2 {
+		t.Fatalf("after a peer change and a rollover: %d inbound SAs, want 2 generations", in)
+	}
+	if d.BySPIPeer(x, gens[0].SPI) != nil {
+		t.Error("generation filed under the earlier peer was never removed")
+	}
+	now = now.Add(DefaultGrace + time.Second)
+	d.Sweep()
+	if in, _ := d.Count(); in != 1 {
+		t.Errorf("after grace sweep: %d inbound SAs, want 1", in)
+	}
+	if d.BySPIPeer(y, gens[1].SPI) != nil || d.BySPIPeer(y, gens[2].SPI) != gens[2] {
+		t.Error("grace sweep did not leave exactly the serving generation")
+	}
+
+	// A superseded generation still draining under the old peer retires
+	// from the old peer's bucket too.
+	sa, _ := NewSA(7200, SuiteAES128CTR, key, Lifetime{})
+	sa.SetClock(clock)
+	d.InstallInboundFor("p", x, sa)
+	now = now.Add(DefaultGrace + time.Second)
+	d.Sweep()
+	if in, _ := d.Count(); in != 1 || d.BySPIPeer(y, gens[2].SPI) != nil || d.BySPIPeer(x, sa.SPI) != sa {
+		t.Errorf("drained generation under the old peer not retired: %d inbound SAs", in)
+	}
+}
+
 func TestSupersededSADrainsThenRefuses(t *testing.T) {
 	now := time.Unix(4000, 0)
 	tx, rx := pairWithClock(t, Lifetime{}, &now)

@@ -2,6 +2,7 @@ package kms
 
 import (
 	"errors"
+	"math/bits"
 	"sync"
 	"testing"
 	"time"
@@ -151,6 +152,51 @@ func TestStreamBitExactAcrossEndpoints(t *testing.T) {
 			t.Fatalf("block (otp/7, %d) differs between endpoints", tickets[i].Seq)
 		}
 	}
+}
+
+// TestLedgerCompactionAmortized drains an 8 Mbit backlog with 576-bit
+// claims. The ledger is compacted only once its spent prefix is at
+// least as long as its live part, so it stays within twice its live
+// bits plus 2^15, and a drain compacts O(log backlog) times. Blocks
+// claimed on both mirrors stay bit-identical across every compaction.
+func TestLedgerCompactionAmortized(t *testing.T) {
+	const backlog, claimBits = 8 << 20, 576
+	a, b, pump := mirrored(Config{})
+	defer a.Close()
+	defer b.Close()
+	stA, _ := a.NewStream("drain", claimBits, ClassOTP)
+	stB, _ := b.NewStream("drain", claimBits, ClassOTP)
+	pump(rng.NewSplitMix64(21), backlog)
+
+	compactions := 0
+	for i := 0; i < backlog/claimBits; i++ {
+		base := b.ledgerBase
+		tk, want, err := stA.Next(1, time.Second, nil)
+		if err != nil {
+			t.Fatalf("claim %d: %v", i, err)
+		}
+		got, err := stB.Claim(tk, time.Second, nil)
+		if err != nil {
+			t.Fatalf("mirror claim %d: %v", i, err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("block %d differs between mirrors (ledger base %d -> %d)", tk.Seq, base, b.ledgerBase)
+		}
+		if b.ledgerBase != base {
+			compactions++
+		}
+		for _, s := range []*Service{a, b} {
+			live := int(s.ledgerEnd.Load() - s.frontier)
+			if n := s.ledger.Len(); n > 2*live+1<<15 {
+				t.Fatalf("after claim %d: ledger holds %d bits for %d live", i, n, live)
+			}
+		}
+	}
+	// Halving the live part per compaction, down to the 2^15 floor.
+	if limit := bits.Len(backlog>>15) + 1; compactions > limit {
+		t.Errorf("drain compacted %d times, want at most %d", compactions, limit)
+	}
+	t.Logf("%d compactions over a %d-bit drain", compactions, backlog)
 }
 
 func TestClaimBlocksUntilPeerCoverage(t *testing.T) {

@@ -269,8 +269,12 @@ func (s *Service) followLocked(st *Stream, tk Ticket) {
 }
 
 // retireRangeLocked marks a range spent and advances the prune
-// frontier over the contiguous retired prefix, dropping ledger bits
-// that no live ticket can address anymore.
+// frontier over the contiguous retired prefix. The ledger bits behind
+// the frontier are dropped only once that spent prefix is at least as
+// long as the live part (and at least 2^15 bits): a compaction then
+// copies no more bits than retirement freed since the last one, so
+// retirement costs amortized O(1) per bit, and at every retirement the
+// ledger holds at most twice its live bits plus 2^15.
 func (s *Service) retireRangeLocked(r *claimRange) {
 	r.retired = true
 	for len(s.ranges) > 0 && s.ranges[0].retired && s.ranges[0].off == s.frontier {
@@ -285,8 +289,9 @@ func (s *Service) retireRangeLocked(r *claimRange) {
 	if end := s.ledgerEnd.Load(); prune > end {
 		prune = end
 	}
-	if prune-s.ledgerBase >= 1<<15 {
-		s.ledger = s.ledger.Slice(int(prune-s.ledgerBase), s.ledger.Len())
+	spent := int(prune - s.ledgerBase)
+	if spent >= 1<<15 && spent >= s.ledger.Len()-spent {
+		s.ledger = s.ledger.Slice(spent, s.ledger.Len())
 		s.ledgerBase = prune
 	}
 }
