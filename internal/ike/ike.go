@@ -137,6 +137,8 @@ const (
 	kindPh2Cancel    = 7 // initiator -> responder: abandon a pending exchange
 	kindPh2BatchReq  = 8 // batched quick mode: many proposals, one exchange
 	kindPh2BatchResp = 9
+	kindPh2Commit    = 10 // initiator -> responder: HASH(3), its SAs are installed
+	kindPh2Connected = 11 // responder -> initiator: CONNECTED, its outbound SAs are installed
 )
 
 // Daemon is one gateway's IKE process.
@@ -166,6 +168,7 @@ type Daemon struct {
 	nextMsg    uint32
 	pending    map[uint32]chan []byte
 	respCancel map[uint32]chan struct{} // responder: live exchanges' abort channels
+	held       *heldOutbound            // responder: outbound SAs awaiting the initiator's commit
 	stopped    chan struct{}
 	negMu      sync.Mutex // serializes Phase 2 negotiations (initiator)
 	respMu     sync.Mutex // serializes Phase 2 responses (responder)
@@ -465,7 +468,9 @@ func (d *Daemon) run() {
 				d.logf("INFO: isakmp.c:xxxx: peer abandoned phase 2 msgid %d, canceling pending withdrawal", msgID)
 				close(ch)
 			}
-		case kindPh2Resp, kindPh2Nack, kindPh2BatchResp:
+		case kindPh2Commit:
+			d.commitHeld(msgID, body[5:])
+		case kindPh2Resp, kindPh2Nack, kindPh2BatchResp, kindPh2Connected:
 			d.mu.Lock()
 			ch := d.pending[msgID]
 			delete(d.pending, msgID)
