@@ -501,17 +501,8 @@ func E18FlowControl(seed uint64, quick bool) (*Report, error) {
 	// Famine with a trickle: enough deposits to seed the rate
 	// estimator at a starvation-level capacity, nowhere near enough to
 	// cover the storm — admission sheds, negotiations time out, the
-	// controller marks and the rekeyer spaces its retries. The famine
-	// lasts at least eight trickles and then until it has bitten (or
-	// maxFamine trickles pass): which rekey batch reaches IKE first is
-	// a scheduling race, and when a small one wins, the slack covers it
-	// and the first timeout falls after a fixed famine would have ended.
-	const maxFamine = 64
-	bitten := func() bool {
-		cs := n.RekeyController().Stats()
-		return cs.MarkSets > 0 && cs.Decreases > 0 && n.Stats().RekeyRetries > 0
-	}
-	for t := 0; t < 8 || (t < maxFamine && !bitten()); t++ {
+	// controller marks and the rekeyer spaces its retries.
+	for t := 0; t < 8; t++ {
 		time.Sleep(24 * time.Millisecond)
 		n.ChargeSynthetic(512)
 	}

@@ -137,8 +137,6 @@ const (
 	kindPh2Cancel    = 7 // initiator -> responder: abandon a pending exchange
 	kindPh2BatchReq  = 8 // batched quick mode: many proposals, one exchange
 	kindPh2BatchResp = 9
-	kindPh2Commit    = 10 // initiator -> responder: HASH(3), its SAs are installed
-	kindPh2Connected = 11 // responder -> initiator: CONNECTED, its outbound SAs are installed
 )
 
 // Daemon is one gateway's IKE process.
@@ -168,7 +166,6 @@ type Daemon struct {
 	nextMsg    uint32
 	pending    map[uint32]chan []byte
 	respCancel map[uint32]chan struct{} // responder: live exchanges' abort channels
-	held       *heldOutbound            // responder: outbound SAs awaiting the initiator's commit
 	stopped    chan struct{}
 	negMu      sync.Mutex // serializes Phase 2 negotiations (initiator)
 	respMu     sync.Mutex // serializes Phase 2 responses (responder)
@@ -468,9 +465,7 @@ func (d *Daemon) run() {
 				d.logf("INFO: isakmp.c:xxxx: peer abandoned phase 2 msgid %d, canceling pending withdrawal", msgID)
 				close(ch)
 			}
-		case kindPh2Commit:
-			d.commitHeld(msgID, body[5:])
-		case kindPh2Resp, kindPh2Nack, kindPh2BatchResp, kindPh2Connected:
+		case kindPh2Resp, kindPh2Nack, kindPh2BatchResp:
 			d.mu.Lock()
 			ch := d.pending[msgID]
 			delete(d.pending, msgID)

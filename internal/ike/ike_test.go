@@ -390,54 +390,6 @@ func TestRekeyUpdatesKeys(t *testing.T) {
 	}
 }
 
-func TestResponderHoldsOutboundUntilCommit(t *testing.T) {
-	// The moment the responder's reply is in flight, the initiator has
-	// not installed the new inbound SA yet. Whatever the responder seals
-	// then must still open at the initiator: a responder already on its
-	// new outbound SA would seal under an SPI the initiator does not
-	// know, and Eve could later replay that dropped packet into the new
-	// SA as one never seen. The MITM hook runs on the channel's
-	// forwarding goroutine, before the initiator sees the reply.
-	var h *harness
-	var id uint32
-	pongs := make(chan error, 2)
-	connA, connB := channel.NewMITM(func(dir channel.Direction, m channel.Message) (channel.Message, bool) {
-		if m.Type == TIKE && dir == channel.BobToAlice && len(m.Payload) > 0 && m.Payload[0] == kindPh2Resp {
-			id++
-			pongs <- h.pong(id)
-		}
-		return m, false
-	})
-	h = newHarnessConns(t, ipsec.SuiteAES128CTR, ipsec.Lifetime{}, Config{}, Config{}, 1<<20, connA, connB)
-
-	// Establishment: the responder has no outbound SA to seal under.
-	if err := h.dA.Negotiate(h.polAB, "b-to-a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-pongs; !errors.Is(err, ipsec.ErrNoSA) {
-		t.Fatalf("pong during establishment: err = %v, want ErrNoSA", err)
-	}
-	old := h.gwB.SAD.Outbound("b-to-a")
-	if old == nil {
-		t.Fatal("responder has no outbound SA after Negotiate returned")
-	}
-
-	// Rollover: the responder still seals under the old SA, which the
-	// initiator opens.
-	if err := h.dA.Negotiate(h.polAB, "b-to-a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-pongs; err != nil {
-		t.Fatalf("pong during rollover: %v", err)
-	}
-	if h.gwB.SAD.Outbound("b-to-a") == old {
-		t.Fatal("responder never switched to the new outbound SA")
-	}
-	if err := h.pong(100); err != nil {
-		t.Fatalf("pong after rollover: %v", err)
-	}
-}
-
 func BenchmarkNegotiate(b *testing.B) {
 	connA, connB := channel.MemPair(64)
 	polAB := &ipsec.Policy{Name: "a-to-b", Action: ipsec.Protect, Suite: ipsec.SuiteAES128CTR,

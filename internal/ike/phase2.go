@@ -140,8 +140,7 @@ func (d *Daemon) allocMsgID() uint32 {
 }
 
 // Negotiate runs quick mode for the given outbound policy (and its
-// reverse), installing SAs in both gateways' databases; it returns
-// after the responder's CONNECTED notify, when both are live. Only the
+// reverse), installing SAs in both gateways' databases. Only the
 // Initiator daemon may call it.
 //
 // reversePolicy names the peer's outbound policy for the same tunnel
@@ -275,106 +274,7 @@ func (d *Daemon) Negotiate(pol *ipsec.Policy, reversePolicy string) error {
 	var nonceR [16]byte
 	copy(nonceR[:], resp[9:25])
 
-	if err := d.installSAs(prop, spiR, nonceR, true, ticketKey); err != nil {
-		return err
-	}
-	return d.commit(msgID, []bool{true})
-}
-
-// heldOutbound is a responder's outbound SAs from one exchange, in
-// reply order, kept out of the SAD until the initiator commits.
-type heldOutbound struct {
-	msgID  uint32
-	policy []string
-	sa     []*ipsec.SA
-}
-
-// hold parks a responder exchange's outbound SAs until the initiator's
-// commit. The initiator serializes its exchanges, so one slot suffices:
-// a newer exchange replaces whatever an abandoned one left behind.
-func (d *Daemon) hold(h *heldOutbound) {
-	d.mu.Lock()
-	d.held = h
-	d.mu.Unlock()
-}
-
-// commit sends quick mode's third message, HASH(3), once this side's
-// SAs are in place, and waits for the responder's CONNECTED notify.
-// installed has one entry per SA the responder accepted, in reply
-// order, saying whether this side installed it. The responder holds
-// its outbound SAs until then (RFC 2408's commit bit): sealing under
-// one earlier races this side's inbound install, and a packet dropped
-// here for an unknown SPI would open later, when Eve replays it, as
-// one never seen.
-func (d *Daemon) commit(msgID uint32, installed []bool) error {
-	body := make([]byte, 5, 5+len(installed))
-	body[0] = kindPh2Commit
-	binary.BigEndian.PutUint32(body[1:5], msgID)
-	n := 0
-	for _, ok := range installed {
-		var b byte
-		if ok {
-			b = 1
-			n++
-		}
-		body = append(body, b)
-	}
-	ch := make(chan []byte, 1)
-	d.mu.Lock()
-	d.pending[msgID] = ch
-	d.mu.Unlock()
-	var err error
-	if serr := d.sendAuthed(body); serr != nil {
-		err = fmt.Errorf("ike: phase 2 commit send: %w", serr)
-	} else {
-		select {
-		case resp := <-ch:
-			if resp[0] != kindPh2Connected {
-				err = ErrRejected
-			}
-		case <-time.After(d.cfg.Phase2Timeout):
-			err = ErrTimeout
-		case <-d.stopped:
-			return ErrStopped
-		}
-	}
-	if err != nil {
-		d.mu.Lock()
-		delete(d.pending, msgID)
-		d.stats.Phase2Failed += uint64(n)
-		d.mu.Unlock()
-	}
-	return err
-}
-
-// commitHeld serves the initiator's HASH(3): it installs the held
-// outbound SAs the initiator reports installed on its side and answers
-// CONNECTED. A commit for any exchange but the held one is refused.
-func (d *Daemon) commitHeld(msgID uint32, installed []byte) {
-	d.mu.Lock()
-	h := d.held
-	if h != nil && h.msgID == msgID {
-		d.held = nil
-	} else {
-		h = nil
-	}
-	d.mu.Unlock()
-	if h == nil {
-		d.nack(msgID)
-		return
-	}
-	for k, sa := range h.sa {
-		if k < len(installed) && installed[k] == 1 {
-			d.gw.SAD.InstallOutbound(h.policy[k], sa)
-		}
-	}
-	d.logf("INFO: isakmp.c:xxxx: phase 2 msgid %d committed, CONNECTED", msgID)
-	body := make([]byte, 5)
-	body[0] = kindPh2Connected
-	binary.BigEndian.PutUint32(body[1:5], msgID)
-	if err := d.sendAuthed(body); err != nil {
-		d.logf("ERROR: isakmp.c:xxxx: phase 2 CONNECTED notify failed: %v", err)
-	}
+	return d.installSAs(prop, spiR, nonceR, true, ticketKey)
 }
 
 // handlePhase2 serves one inbound quick-mode request. cancel is the
@@ -464,13 +364,11 @@ func (d *Daemon) handlePhase2(msgID uint32, payload []byte, cancel <-chan struct
 		ticketKey = key
 	}
 
-	out, err := d.installSAsCancelable(prop, spiR, nonceR, false, cancel, ticketKey)
-	if err != nil {
+	if err := d.installSAsCancelable(prop, spiR, nonceR, false, cancel, ticketKey); err != nil {
 		d.logf("ERROR: bbn-qkd-qpd.c:1101:qke_create_reply(): %v", err)
 		d.nack(msgID)
 		return
 	}
-	d.hold(&heldOutbound{msgID: msgID, policy: []string{prop.ReversePolicy}, sa: []*ipsec.SA{out}})
 	if prop.Suite == ipsec.SuiteOTP {
 		d.logf("INFO: bbn-qkd-qpd.c:1047:qke_create_reply(): reply %d pad bits one-time-pad mode",
 			prop.OTPBits)
@@ -511,18 +409,15 @@ func (d *Daemon) ticketOf(prop *phase2Proposal, st *kms.Stream) kms.Ticket {
 // directions' SAs. The initiator's outbound direction is always keyed
 // first so both reservoirs are consumed in the same order.
 func (d *Daemon) installSAs(prop *phase2Proposal, spiR uint32, nonceR [16]byte, isInitiator bool, ticketKey *bitarray.BitArray) error {
-	_, err := d.installSAsCancelable(prop, spiR, nonceR, isInitiator, nil, ticketKey)
-	return err
+	return d.installSAsCancelable(prop, spiR, nonceR, isInitiator, nil, ticketKey)
 }
 
 // installSAsCancelable is installSAs with an abort channel threaded
 // into the blocking key withdrawals (responder side: the exchange may
 // die while the reservoir fills). ticketKey, when non-nil, is the
 // pre-claimed (stream, sequence) key block; otherwise the key is
-// withdrawn from the lockstep pool. The responder installs only its
-// inbound SA and returns its outbound one, to hold until the
-// initiator commits.
-func (d *Daemon) installSAsCancelable(prop *phase2Proposal, spiR uint32, nonceR [16]byte, isInitiator bool, cancel <-chan struct{}, ticketKey *bitarray.BitArray) (*ipsec.SA, error) {
+// withdrawn from the lockstep pool.
+func (d *Daemon) installSAsCancelable(prop *phase2Proposal, spiR uint32, nonceR [16]byte, isInitiator bool, cancel <-chan struct{}, ticketKey *bitarray.BitArray) error {
 	life := ipsec.Lifetime{
 		Duration: time.Duration(prop.LifeSeconds) * time.Second,
 		Bytes:    prop.LifeBytes,
@@ -551,7 +446,7 @@ func (d *Daemon) installSAsCancelable(prop *phase2Proposal, spiR uint32, nonceR 
 		// every subsequent SA.
 		pads, err := withdraw(2 * int(prop.OTPBits))
 		if err != nil {
-			return nil, fmt.Errorf("withdrawing OTP pads: %w", err)
+			return fmt.Errorf("withdrawing OTP pads: %w", err)
 		}
 		padIR := pads.Slice(0, int(prop.OTPBits))
 		padRI := pads.Slice(int(prop.OTPBits), pads.Len())
@@ -559,15 +454,15 @@ func (d *Daemon) installSAsCancelable(prop *phase2Proposal, spiR uint32, nonceR 
 		d.stats.QbitsConsumed += 2 * prop.OTPBits
 		d.mu.Unlock()
 		if saIR, err = ipsec.NewOTPSA(spiR, padIR.Bytes(), life); err != nil {
-			return nil, err
+			return err
 		}
 		if saRI, err = ipsec.NewOTPSA(prop.SPI, padRI.Bytes(), life); err != nil {
-			return nil, err
+			return err
 		}
 	} else {
 		qbits, err := withdraw(int(prop.Qblocks) * QblockBits)
 		if err != nil {
-			return nil, fmt.Errorf("withdrawing %d Qblocks: %w", prop.Qblocks, err)
+			return fmt.Errorf("withdrawing %d Qblocks: %w", prop.Qblocks, err)
 		}
 		d.mu.Lock()
 		skeyid := d.skeyid
@@ -584,10 +479,10 @@ func (d *Daemon) installSAsCancelable(prop *phase2Proposal, spiR uint32, nonceR 
 		d.logf("INFO: oakley.c:473:oakley_compute_keymat_x(): KEYMAT using %d bytes QBITS",
 			int(prop.Qblocks)*QblockBits/8)
 		if saIR, err = ipsec.NewSA(spiR, prop.Suite, kIR, life); err != nil {
-			return nil, err
+			return err
 		}
 		if saRI, err = ipsec.NewSA(prop.SPI, prop.Suite, kRI, life); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
@@ -597,13 +492,12 @@ func (d *Daemon) installSAsCancelable(prop *phase2Proposal, spiR uint32, nonceR 
 	// traffic through its grace window and is then removed, so
 	// renegotiation no longer leaks undead inbound SAs.
 	peerGW := d.peerGateway(prop)
-	var out *ipsec.SA
 	if isInitiator {
 		d.gw.SAD.InstallOutbound(prop.PolicyName, saIR)
 		d.gw.SAD.InstallInboundFor(prop.ReversePolicy, peerGW, saRI)
 	} else {
 		d.gw.SAD.InstallInboundFor(prop.PolicyName, peerGW, saIR)
-		out = saRI
+		d.gw.SAD.InstallOutbound(prop.ReversePolicy, saRI)
 	}
 	d.mu.Lock()
 	d.stats.SAsEstablished += 2
@@ -616,7 +510,7 @@ func (d *Daemon) installSAsCancelable(prop *phase2Proposal, spiR uint32, nonceR 
 		d.gw.Local, peer, spiR, spiR)
 	d.logf("INFO: pfkey.c:1319:pk_recvadd(): IPsec-SA established: ESP/Tunnel %s->%s spi=%d(%#x)",
 		peer, d.gw.Local, prop.SPI, prop.SPI)
-	return out, nil
+	return nil
 }
 
 // peerGateway derives the remote tunnel endpoint for a negotiation:

@@ -225,8 +225,6 @@ func (d *Daemon) NegotiateBatch(items []BatchItem) ([]error, error) {
 		len(resp) != 7+len(wire)*entryLen {
 		return nil, fmt.Errorf("ike: bad batched phase 2 response length %d", len(resp))
 	}
-	var accepted []int
-	var installed []bool
 	for k, i := range wire {
 		e := resp[7+k*entryLen:]
 		if e[0] == 0 {
@@ -240,17 +238,6 @@ func (d *Daemon) NegotiateBatch(items []BatchItem) ([]error, error) {
 		var nonceR [16]byte
 		copy(nonceR[:], e[5:21])
 		errs[i] = d.installSAs(props[i], spiR, nonceR, true, keys[i])
-		accepted = append(accepted, i)
-		installed = append(installed, errs[i] == nil)
-	}
-	if len(accepted) > 0 {
-		if err := d.commit(msgID, installed); err != nil {
-			for k, i := range accepted {
-				if installed[k] {
-					errs[i] = err
-				}
-			}
-		}
 	}
 	return errs, nil
 }
@@ -306,7 +293,6 @@ func (d *Daemon) handlePhase2Batch(msgID uint32, payload []byte, cancel <-chan s
 	resp[0] = kindPh2BatchResp
 	binary.BigEndian.PutUint32(resp[1:5], msgID)
 	binary.BigEndian.PutUint16(resp[5:7], uint16(len(props)))
-	held := &heldOutbound{msgID: msgID}
 
 	for n, prop := range props {
 		// The initiator abandoned the batch: burn the remaining ledger
@@ -368,13 +354,10 @@ func (d *Daemon) handlePhase2Batch(msgID uint32, payload []byte, cancel <-chan s
 			}
 			ticketKey = key
 		}
-		out, err := d.installSAsCancelable(prop, spiR, nonceR, false, cancel, ticketKey)
-		if err != nil {
+		if err := d.installSAsCancelable(prop, spiR, nonceR, false, cancel, ticketKey); err != nil {
 			fail("batch item %d: %v", n, err)
 			continue
 		}
-		held.policy = append(held.policy, prop.ReversePolicy)
-		held.sa = append(held.sa, out)
 		if prop.Suite == ipsec.SuiteOTP {
 			d.logf("INFO: bbn-qkd-qpd.c:1047:qke_create_reply(): reply %d pad bits one-time-pad mode",
 				prop.OTPBits)
@@ -386,7 +369,6 @@ func (d *Daemon) handlePhase2Batch(msgID uint32, payload []byte, cancel <-chan s
 		resp = binary.BigEndian.AppendUint32(resp, spiR)
 		resp = append(resp, nonceR[:]...)
 	}
-	d.hold(held)
 	if err := d.sendAuthed(resp); err != nil {
 		d.logf("ERROR: isakmp.c:xxxx: batched phase 2 reply failed: %v", err)
 	}

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -150,7 +149,6 @@ type tunnel struct {
 	spec  TunnelSpec
 	polAB *ipsec.Policy
 	polBA *ipsec.Policy
-	idx   int // position in Network.tunnels, the order rekey locks are taken in
 
 	rekeyMu      sync.Mutex
 	gen          atomic.Uint64 // completed negotiations
@@ -399,7 +397,6 @@ func New(cfg Config) (*Network, error) {
 		seen[nameAB] = true
 		t := &tunnel{
 			spec: spec,
-			idx:  len(n.tunnels),
 			polAB: &ipsec.Policy{
 				Name: nameAB, Action: ipsec.Protect, Suite: spec.Suite,
 				PeerGW: GatewayB, Life: spec.Life, OTPBits: spec.OTPBits,
@@ -606,9 +603,7 @@ func (n *Network) requestRekey(pol *ipsec.Policy) {
 // guarantees a tunnel sits in at most one worker's batch at a time, so
 // workers hold disjoint sets of tunnel rekey locks and cannot deadlock
 // against each other (or against single-tunnel rekey paths, which only
-// ever hold one). Renegotiate's batches can overlap a worker's; both
-// take the locks in tunnel order (negotiateTunnels), so they cannot
-// deadlock either.
+// ever hold one).
 func (n *Network) rekeyWorker() {
 	defer n.rekeyWG.Done()
 	for {
@@ -733,16 +728,7 @@ func (n *Network) negotiateTunnels(ts []*tunnel, gens []uint64) []error {
 	errs := make([]error, len(ts))
 	items := make([]ike.BatchItem, 0, len(ts))
 	idx := make([]int, 0, len(ts))
-	// Lock in tunnel order, not batch order: a worker's batch comes in
-	// queue order, and Renegotiate's (after a site restart) can overlap
-	// it; taken in different orders, the two would deadlock.
-	order := make([]int, len(ts))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int { return ts[a].idx - ts[b].idx })
-	for _, i := range order {
-		t := ts[i]
+	for i, t := range ts {
 		t.rekeyMu.Lock()
 		if t.gen.Load() != gens[i] {
 			t.rekeyMu.Unlock()
@@ -942,53 +928,38 @@ func (n *Network) Ping(id uint32) error {
 }
 
 // SendWithRollover sends, and on SA expiry transparently renegotiates
-// the flow's tunnel with fresh QKD key and retries — the deployment
-// behaviour where "every time the lifetime expires, a new security
-// association must be negotiated and it will bring with it fresh key
-// material." Concurrent rollovers of one tunnel collapse into a single
-// negotiation.
+// the flow's tunnel with fresh QKD key and retries once — the
+// deployment behaviour where "every time the lifetime expires, a new
+// security association must be negotiated and it will bring with it
+// fresh key material." Concurrent rollovers of one tunnel collapse
+// into a single negotiation.
 func (n *Network) SendWithRollover(src, dst ipsec.Addr, id uint32, payload []byte) ([]byte, error) {
+	// Observe the tunnel generation before sending: if the send fails on
+	// an expired SA, that SA belonged to this generation, and the rekey
+	// below is void if anyone else has already rolled past it.
 	t, _ := n.matchTunnel(&ipsec.Packet{Src: src, Dst: dst, Proto: ipsec.ProtoPing})
-	for round := 0; ; round++ {
-		// Observe the tunnel generation before sending: if the send
-		// fails on an expired SA, that SA normally belonged to this
-		// generation, and the rekey below is void if anyone else has
-		// already rolled past it. Not always: a rollover's SAs carry
-		// traffic once installed, a little before it bumps the
-		// generation, so a busy flow can spend the new SA under the old
-		// number and see its rekey skipped as done. The next round then
-		// rekeys for real.
-		var gen uint64
-		if t != nil {
-			gen = t.gen.Load()
-		}
-		got, err := n.Send(src, dst, id, payload)
-		if err == nil {
-			return got, nil
-		}
-		if t == nil || round == maxRolloverRounds || !rolloverErr(err) {
-			return nil, err
-		}
+	var gen uint64
+	if t != nil {
+		gen = t.gen.Load()
+	}
+	got, err := n.Send(src, dst, id, payload)
+	if err == nil {
+		return got, nil
+	}
+	// ErrUnknownSPI is retryable too: during a rollover the responder
+	// installs its new outbound SA before the initiator's reply arrives,
+	// so a concurrent B->A packet can be sealed under a SPI the far side
+	// has not installed yet. rekeyTunnelFrom waits out the in-flight
+	// negotiation (whose completion voids the generation), after which
+	// the inbound SA exists and the retry lands.
+	if t != nil && (errors.Is(err, ipsec.ErrNoSA) || errors.Is(err, ipsec.ErrExpired) ||
+		errors.Is(err, ipsec.ErrPadExhaust) || errors.Is(err, ipsec.ErrUnknownSPI)) {
 		if err := n.rekeyTunnelFrom(t, gen); err != nil {
 			return nil, fmt.Errorf("vpn: rollover failed: %w", err)
 		}
+		return n.Send(src, dst, id, payload)
 	}
-}
-
-// maxRolloverRounds bounds SendWithRollover's rekeys per packet: one
-// for the expiry itself, one more when the first was skipped because a
-// concurrent rollover's fresh SA was already spent.
-const maxRolloverRounds = 2
-
-// rolloverErr reports the send failures fresh SAs cure. ErrUnknownSPI
-// is one: a far side whose SAD died with a restarted site cannot open
-// anything sealed under the SAs it lost. (A rollover itself never
-// causes it: the IKE responder holds its new outbound SA until the
-// initiator commits, so nothing is sealed under an SPI the far side
-// has not installed.)
-func rolloverErr(err error) bool {
-	return errors.Is(err, ipsec.ErrNoSA) || errors.Is(err, ipsec.ErrExpired) ||
-		errors.Is(err, ipsec.ErrPadExhaust) || errors.Is(err, ipsec.ErrUnknownSPI)
+	return nil, err
 }
 
 // KeyRaceResult summarizes a key consumption/production race (E8).
