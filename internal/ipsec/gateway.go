@@ -163,8 +163,11 @@ func (d *SAD) InstallInboundFor(policyName string, peer Addr, sa *SA) {
 	d.sweepLocked()
 }
 
-// Sweep removes superseded generations whose grace window has closed.
-// Install paths call it; long-idle gateways may call it periodically.
+// Sweep removes superseded generations whose supersession grace window
+// has closed. A generation that ran out its own time bound first
+// already refuses to decrypt and is removed with the queue entry ahead
+// of it, at most DefaultGrace later. Install paths call it; long-idle
+// gateways may call it periodically.
 func (d *SAD) Sweep() {
 	d.genMu.Lock()
 	defer d.genMu.Unlock()
@@ -172,10 +175,12 @@ func (d *SAD) Sweep() {
 }
 
 // sweepLocked pops the retirement queue's head while it is due or
-// stale. Every generation retires DefaultGrace after its supersession
-// and the queue is in supersession order, so the first live entry
-// still in grace ends the sweep: its cost is the entries it pops. A
-// popped slot is cleared, so the queue's spent prefix pins no SA.
+// stale. Retirement follows the supersession deadline: every
+// generation retires DefaultGrace after its supersession and the queue
+// is in supersession order, so the first live entry still in grace
+// ends the sweep: its cost is the entries it pops. An entry behind it
+// whose SA is already Retired on its time bound waits for it. A popped
+// slot is cleared, so the queue's spent prefix pins no SA.
 func (d *SAD) sweepLocked() {
 	q := d.retiring
 	for len(q) > 0 {

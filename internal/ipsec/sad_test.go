@@ -1,6 +1,8 @@
 package ipsec
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -121,6 +123,54 @@ func TestSADRolloverWithinGraceDropsReplacedEntries(t *testing.T) {
 				t.Errorf("after grace: %d inbound SAs, want only the serving generation", in)
 			}
 		})
+	}
+}
+
+// TestSADTimeExpiredGenerationLeavesWithQueueHead pins how the queue
+// treats a generation whose own time bound runs out before the
+// generation superseded ahead of it is due. Retirement follows the
+// supersession order, so the expired generation stays indexed,
+// refusing to decrypt, until the head entry is due; then one sweep
+// removes both.
+func TestSADTimeExpiredGenerationLeavesWithQueueHead(t *testing.T) {
+	clk := newStepClock()
+	d := NewSAD()
+	peer := MustAddr("192.1.99.35")
+	const life = DefaultGrace / 2
+	short, err := NewSA(30, SuiteNull, make([]byte, SuiteNull.KeyBits()/8), Lifetime{Duration: life})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short.SetClock(clk.now)
+	d.InstallInboundFor("b", peer, short)
+	clk.step(life + time.Millisecond)
+	d.InstallInboundFor("a", peer, clockedSA(t, 10, clk.now))
+	d.InstallInboundFor("a", peer, clockedSA(t, 11, clk.now))
+	d.InstallInboundFor("b", peer, clockedSA(t, 31, clk.now))
+
+	// The head (SPI 10) is due only strictly after its deadline; SPI
+	// 30 is past Created+life+DefaultGrace already.
+	clk.step(DefaultGrace)
+	d.Sweep()
+	if !short.Retired() || d.BySPIPeer(peer, 10).Retired() {
+		t.Fatal("clock setup: want SPI 30 retired on its time bound, SPI 10 still in grace")
+	}
+	if d.BySPIPeer(peer, 30) != short {
+		t.Error("time-expired generation left before the queue head was due")
+	}
+	blob := make([]byte, 64)
+	binary.BigEndian.PutUint32(blob, short.SPI)
+	if _, err := short.Open(blob); !errors.Is(err, ErrExpired) {
+		t.Errorf("time-expired generation opened with %v, want ErrExpired", err)
+	}
+
+	clk.step(time.Millisecond)
+	d.Sweep()
+	if in, _ := d.Count(); in != 2 || d.BySPIPeer(peer, 10) != nil || d.BySPIPeer(peer, 30) != nil {
+		t.Errorf("once the head is due: %d inbound SAs, want only the two serving generations", in)
+	}
+	if len(d.retiring) != 0 {
+		t.Errorf("retirement queue still holds %d entries", len(d.retiring))
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -149,6 +150,7 @@ type tunnel struct {
 	spec  TunnelSpec
 	polAB *ipsec.Policy
 	polBA *ipsec.Policy
+	idx   int // position in Network.tunnels, the order rekey locks are taken in
 
 	rekeyMu      sync.Mutex
 	gen          atomic.Uint64 // completed negotiations
@@ -397,6 +399,7 @@ func New(cfg Config) (*Network, error) {
 		seen[nameAB] = true
 		t := &tunnel{
 			spec: spec,
+			idx:  len(n.tunnels),
 			polAB: &ipsec.Policy{
 				Name: nameAB, Action: ipsec.Protect, Suite: spec.Suite,
 				PeerGW: GatewayB, Life: spec.Life, OTPBits: spec.OTPBits,
@@ -603,7 +606,9 @@ func (n *Network) requestRekey(pol *ipsec.Policy) {
 // guarantees a tunnel sits in at most one worker's batch at a time, so
 // workers hold disjoint sets of tunnel rekey locks and cannot deadlock
 // against each other (or against single-tunnel rekey paths, which only
-// ever hold one).
+// ever hold one). Renegotiate's batches can overlap a worker's; both
+// take the locks in tunnel order (negotiateTunnels), so they cannot
+// deadlock either.
 func (n *Network) rekeyWorker() {
 	defer n.rekeyWG.Done()
 	for {
@@ -728,7 +733,16 @@ func (n *Network) negotiateTunnels(ts []*tunnel, gens []uint64) []error {
 	errs := make([]error, len(ts))
 	items := make([]ike.BatchItem, 0, len(ts))
 	idx := make([]int, 0, len(ts))
-	for i, t := range ts {
+	// Lock in tunnel order, not batch order: a worker's batch comes in
+	// queue order, and Renegotiate's (after a site restart) can overlap
+	// it; taken in different orders, the two would deadlock.
+	order := make([]int, len(ts))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return ts[a].idx - ts[b].idx })
+	for _, i := range order {
+		t := ts[i]
 		t.rekeyMu.Lock()
 		if t.gen.Load() != gens[i] {
 			t.rekeyMu.Unlock()

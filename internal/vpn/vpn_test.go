@@ -760,6 +760,88 @@ func TestRekeyBackoffBudgetAndRecovery(t *testing.T) {
 	}
 }
 
+// TestOverlappingRekeyBatchesDoNotDeadlock overlaps two rekey batches
+// over the same tunnels, as a post-restart Renegotiate (tunnel order)
+// and a rekey worker (queue order) can. Each batch holds its tunnels'
+// rekey locks across the exchange. The test parks the Renegotiate-like
+// batch on t1 while it holds t0, lets the worker-like batch, queued as
+// [t2, t0], start, and then releases t1: batches that lock in their own
+// order now each hold a lock the other needs.
+func TestOverlappingRekeyBatchesDoNotDeadlock(t *testing.T) {
+	cfg := fastConfig(ipsec.SuiteAES128CTR)
+	for i := 0; i < 3; i++ {
+		cfg.Tunnels = append(cfg.Tunnels, TunnelSpec{
+			Name:    fmt.Sprintf("t%d", i),
+			PrefixA: ipsec.MustPrefix(fmt.Sprintf("10.1.%d.0/24", i)),
+			PrefixB: ipsec.MustPrefix(fmt.Sprintf("10.2.%d.0/24", i)),
+			Suite:   ipsec.SuiteAES128CTR,
+		})
+	}
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if err := n.DistillKeys(18*1024, 900); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Establish(); err != nil {
+		t.Fatal(err)
+	}
+	t0, t1, t2 := n.tunnels[0], n.tunnels[1], n.tunnels[2]
+	// held reports, within a bound, whether another goroutine has
+	// taken tn's rekey lock.
+	held := func(tn *tunnel, within time.Duration) bool {
+		for deadline := time.Now().Add(within); time.Now().Before(deadline); {
+			if !tn.rekeyMu.TryLock() {
+				return true
+			}
+			tn.rekeyMu.Unlock()
+			time.Sleep(100 * time.Microsecond)
+		}
+		return false
+	}
+	var wg sync.WaitGroup
+	batch := func(ts ...*tunnel) {
+		gens := make([]uint64, len(ts))
+		for i, tn := range ts {
+			gens[i] = tn.gen.Load()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, err := range n.negotiateTunnels(ts, gens) {
+				if err != nil {
+					t.Errorf("tunnel %s: %v", ts[i].spec.Name, err)
+				}
+			}
+		}()
+	}
+
+	t1.rekeyMu.Lock()
+	batch(t0, t1, t2)
+	if !held(t0, 5*time.Second) {
+		t1.rekeyMu.Unlock()
+		t.Fatal("tunnel-order batch never took t0")
+	}
+	batch(t2, t0)
+	// The worker-like batch either holds t2 while it waits for t0, or,
+	// locking in tunnel order, waits for t0 first and holds nothing.
+	held(t2, 50*time.Millisecond)
+	t1.rekeyMu.Unlock()
+
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("overlapping rekey batches deadlocked")
+	}
+}
+
 // TestGatewayRestartMidRollover crash-restarts the B gateway in the
 // middle of a rollover storm and verifies clean resync: every tunnel
 // comes back on fresh SAs, neither SAD leaks superseded inbound SAs,
