@@ -49,7 +49,10 @@
 #                                   cached key schedules (AES + OTP),
 #                                   single-packet and 64-packet batched
 #                                   paths, plus 8 tunnels in parallel,
-#                                   and one SAD rollover install against
+#                                   AES seal+open at 64 / 176 / 512 /
+#                                   1400 B payloads (the sizes that set
+#                                   the CTR keystream crossover), and
+#                                   one SAD rollover install against
 #                                   64 / 1024 / 25,000 tunnels
 #                                   (DESIGN.md §10-11)
 #   flow    -> BENCH_flow.json      closed-loop replenishment control:
@@ -155,7 +158,7 @@ run_qnet_group() {
 }
 
 run_ipsec_group() {
-    run ./internal/ipsec/ 'Benchmark(Gateway_(SealAES|OpenAES|SealOTP|Parallel|SealAESBatch|OpenAESBatch|SealOTPBatch|ParallelBatch)|SAD_Rollover)$'
+    run ./internal/ipsec/ 'Benchmark(Gateway_(SealAES|OpenAES|SealOpenAES|SealOTP|Parallel|SealAESBatch|OpenAESBatch|SealOTPBatch|ParallelBatch)|SAD_Rollover)$'
     emit BENCH_ipsec.json
 }
 

@@ -2,6 +2,10 @@ package ipsec
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/hmac"
+	"crypto/sha1"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -26,14 +30,100 @@ func fuzzSA(tb testing.TB, suite CipherSuite, spi uint32) *SA {
 
 var fuzzSuites = []CipherSuite{SuiteNull, SuiteAES128CTR, Suite3DESCBC, SuiteOTP}
 
+// refSealAES is an independent ESP sealer for the AES suite, built
+// straight from crypto/aes, cipher.NewCTR and crypto/hmac:
+// SPI | seq | IV = SPI|seq|0^8 | AES-128-CTR ciphertext | HMAC-SHA1-96
+// over everything before it. key is the SA's key (encryption key then
+// integrity key).
+func refSealAES(tb testing.TB, key []byte, spi, seq uint32, payload []byte) []byte {
+	tb.Helper()
+	block, err := aes.NewCipher(key[:16])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	blob := make([]byte, 8+aes.BlockSize+len(payload))
+	binary.BigEndian.PutUint32(blob, spi)
+	binary.BigEndian.PutUint32(blob[4:], seq)
+	iv := blob[8 : 8+aes.BlockSize]
+	copy(iv, blob[:8])
+	cipher.NewCTR(block, iv).XORKeyStream(blob[8+aes.BlockSize:], payload)
+	mac := hmac.New(sha1.New, key[16:])
+	mac.Write(blob)
+	return append(blob, mac.Sum(nil)[:icvLen]...)
+}
+
+// TestSealAESWireBytes pins the AES suite's wire format against
+// refSealAES for every payload length on both sides of ctrInlineMax
+// and a full-size packet: a seal/open round trip cannot catch a
+// keystream both ends get wrong the same way. Open must accept every
+// reference blob. The keystream itself must also match cipher.NewCTR
+// across a carry out of the counter's low 64 bits, which an IV read
+// off the wire may start next to.
+func TestSealAESWireBytes(t *testing.T) {
+	const spi = 0x5eed
+	key := randKey(SuiteAES128CTR.KeyBits()/8, 31)
+	tx, err := NewSA(spi, SuiteAES128CTR, key, Lifetime{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rx, err := NewSA(spi, SuiteAES128CTR, key, Lifetime{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := randKey(1400, 32)
+	var lengths []int
+	for n := 0; n <= ctrInlineMax+64; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 1400)
+	for i, n := range lengths {
+		want := refSealAES(t, key, spi, uint32(i+1), payload[:n])
+		got, err := tx.Seal(payload[:n])
+		if err != nil {
+			t.Fatalf("%d B: Seal: %v", n, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d B: sealed bytes differ from the crypto/cipher reference", n)
+		}
+		plain, err := rx.Open(want)
+		if err != nil {
+			t.Fatalf("%d B: Open of the reference blob: %v", n, err)
+		}
+		if !bytes.Equal(plain, payload[:n]) {
+			t.Fatalf("%d B: Open of the reference blob returned other bytes", n)
+		}
+	}
+
+	for _, lo := range []uint64{^uint64(0), ^uint64(0) - 3} {
+		for _, hi := range []uint64{7, ^uint64(0)} {
+			iv := make([]byte, aes.BlockSize)
+			binary.BigEndian.PutUint64(iv, hi)
+			binary.BigEndian.PutUint64(iv[8:], lo)
+			src := payload[:ctrInlineMax]
+			want := make([]byte, len(src))
+			cipher.NewCTR(tx.block, iv).XORKeyStream(want, src)
+			got := make([]byte, len(src))
+			tx.xorCTRLocked(got, src, iv)
+			if !bytes.Equal(got, want) {
+				t.Errorf("IV %016x%016x: keystream differs from cipher.NewCTR", hi, lo)
+			}
+		}
+	}
+}
+
 // FuzzSealOpen round-trips arbitrary payloads through every cipher
 // suite: whatever Seal produces, a same-keyed receiver must Open back
-// to the original bytes, and neither side may panic.
+// to the original bytes, and neither side may panic. AES blobs must
+// also equal refSealAES's byte for byte; the last seeds sit on either
+// side of ctrInlineMax, where the keystream changes implementation.
 func FuzzSealOpen(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("ping"))
 	f.Add(bytes.Repeat([]byte{0xA5}, 1400))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add(bytes.Repeat([]byte{0x3C}, ctrInlineMax-1))
+	f.Add(bytes.Repeat([]byte{0x3C}, ctrInlineMax))
+	f.Add(bytes.Repeat([]byte{0x3C}, ctrInlineMax+1))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if len(payload) > 8*1024 {
 			payload = payload[:8*1024]
@@ -44,6 +134,13 @@ func FuzzSealOpen(f *testing.F) {
 			blob, err := tx.Seal(payload)
 			if err != nil {
 				t.Fatalf("%v: Seal: %v", suite, err)
+			}
+			if suite == SuiteAES128CTR {
+				want := refSealAES(t, randKey(suite.KeyBits()/8, 77), 500, 1, payload)
+				if !bytes.Equal(blob, want) {
+					t.Fatalf("%v: %d-byte payload sealed differently from the crypto/cipher reference",
+						suite, len(payload))
+				}
 			}
 			got, err := rx.Open(blob)
 			if err != nil {

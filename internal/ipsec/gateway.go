@@ -368,102 +368,22 @@ func (g *Gateway) Stats() Stats {
 
 // ProcessOutbound applies policy to a packet leaving the enclave:
 // bypass, discard, or encapsulate under the policy's SA in tunnel mode
-// (the entire inner packet becomes the ESP payload).
+// (the entire inner packet becomes the ESP payload). It is
+// ProcessOutboundBatch over a burst of one; a sealed packet is copied
+// out of the batch and belongs to the caller.
 func (g *Gateway) ProcessOutbound(p *Packet) (*Packet, error) {
-	pol := g.SPD.Match(p)
-	if pol == nil {
-		return nil, fmt.Errorf("%w: %s -> %s proto %d", ErrNoPolicy, p.Src, p.Dst, p.Proto)
-	}
-	switch pol.Action {
-	case Bypass:
-		g.bypassed.Add(1)
-		return p, nil
-	case Discard:
-		g.discarded.Add(1)
-		return nil, ErrDiscard
-	}
-	sa := g.SAD.Outbound(pol.Name)
-	if sa != nil && sa.Expired() {
-		g.SAD.RemoveOutbound(pol.Name, sa)
-		g.expired.Add(1)
-		sa = nil
-	}
-	if sa == nil {
-		g.noSA.Add(1)
-		if g.OnMissingSA != nil {
-			g.OnMissingSA(pol)
-		}
-		return nil, fmt.Errorf("%w: policy %q", ErrNoSA, pol.Name)
-	}
-	blob, err := sa.Seal(p.Marshal())
-	if err != nil {
-		if errors.Is(err, ErrExpired) || errors.Is(err, ErrPadExhaust) {
-			g.SAD.RemoveOutbound(pol.Name, sa)
-			g.expired.Add(1)
-			if g.OnMissingSA != nil {
-				g.OnMissingSA(pol)
-			}
-		}
-		return nil, err
-	}
-	g.sealed.Add(1)
-	if sa.SoftExpiring() {
-		g.softRekeys.Add(1)
-		if g.OnMissingSA != nil {
-			g.OnMissingSA(pol)
-		}
-	}
-	return &Packet{Src: g.Local, Dst: pol.PeerGW, Proto: ProtoESP, ID: p.ID, Payload: blob}, nil
+	return processOne(p, g.ProcessOutboundBatch)
 }
 
 // ProcessInbound handles a packet arriving from the black network:
 // ESP packets are decapsulated via the SAD; clear packets are checked
 // against policy (a clear packet whose flow demands protection is
 // dropped — accepting it would let Eve inject plaintext into the
-// enclave).
+// enclave). It is ProcessInboundBatch over a burst of one; a
+// decapsulated packet is copied out of the batch and belongs to the
+// caller.
 func (g *Gateway) ProcessInbound(p *Packet) (*Packet, error) {
-	if p.Proto == ProtoESP {
-		if len(p.Payload) < 4 {
-			return nil, fmt.Errorf("ipsec: short ESP payload")
-		}
-		spi := uint32(p.Payload[0])<<24 | uint32(p.Payload[1])<<16 |
-			uint32(p.Payload[2])<<8 | uint32(p.Payload[3])
-		sa := g.SAD.BySPIPeer(p.Src, spi)
-		if sa == nil {
-			return nil, fmt.Errorf("%w: %#x", ErrUnknownSPI, spi)
-		}
-		inner, err := sa.Open(p.Payload)
-		if err != nil {
-			g.countOpenErr(err)
-			return nil, err
-		}
-		pkt, err := UnmarshalPacket(inner)
-		if err != nil {
-			return nil, fmt.Errorf("ipsec: decapsulated garbage: %w", err)
-		}
-		g.opened.Add(1)
-		return pkt, nil
-	}
-	// Clear traffic: only deliverable if policy says bypass.
-	pol := g.SPD.Match(p)
-	if pol == nil || pol.Action != Bypass {
-		g.discarded.Add(1)
-		return nil, ErrDiscard
-	}
-	g.bypassed.Add(1)
-	return p, nil
-}
-
-// countOpenErr maps an SA.Open failure onto the drop counters.
-func (g *Gateway) countOpenErr(err error) {
-	switch {
-	case errors.Is(err, ErrReplay):
-		g.replayDrops.Add(1)
-	case errors.Is(err, ErrIntegrity):
-		g.integFails.Add(1)
-	case errors.Is(err, ErrExpired):
-		g.expired.Add(1)
-	}
+	return processOne(p, g.ProcessInboundBatch)
 }
 
 // BatchResult is one packet's outcome from a batched gateway pass:
@@ -478,12 +398,18 @@ type BatchResult struct {
 // so one growing allocation serves a whole burst and is recycled
 // across calls. Results are valid until the Batch's next use or its
 // Release — consume (or copy out) a burst before reusing the Batch.
+// The zero Batch is ready to use.
 type Batch struct {
 	arena   []byte
 	scratch []byte
 	pkts    []Packet
 	res     []BatchResult
 	pols    []*Policy
+	// single is the burst of one behind ProcessOutbound/ProcessInbound;
+	// it carries a copy of the caller's packet, so that packet does not
+	// escape to the heap through the pooled batch.
+	single [1]*Packet
+	copyIn Packet
 }
 
 var batchPool = sync.Pool{New: func() any { return &Batch{} }}
@@ -494,6 +420,27 @@ func NewBatch() *Batch { return batchPool.Get().(*Batch) }
 // Release returns the Batch (and its arena) to the pool. The caller
 // must be done with every BatchResult it produced.
 func (b *Batch) Release() { batchPool.Put(b) }
+
+// processOne runs process over the burst of one p in a pooled Batch
+// and copies the result out of it, so it outlives the batch's reuse. A
+// bypassed packet is p itself and comes back as is.
+func processOne(p *Packet, process func(*Batch, []*Packet) []BatchResult) (*Packet, error) {
+	b := NewBatch()
+	defer b.Release()
+	b.copyIn = *p
+	b.single[0] = &b.copyIn
+	r := process(b, b.single[:])[0]
+	b.copyIn = Packet{} // the pool must not pin the caller's payload
+	switch {
+	case r.Err != nil:
+		return nil, r.Err
+	case r.Pkt == &b.copyIn:
+		return p, nil
+	}
+	out := *r.Pkt
+	out.Payload = append([]byte(nil), r.Pkt.Payload...)
+	return &out, nil
+}
 
 // reset prepares the batch for n packets, keeping allocated capacity.
 func (b *Batch) reset(n int) {

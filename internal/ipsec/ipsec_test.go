@@ -937,6 +937,37 @@ func BenchmarkGateway_OpenAES(b *testing.B) {
 	}
 }
 
+// BenchmarkGateway_SealOpenAES seals and opens one packet at a time
+// through the gateways' batch-of-one path, the way vpn.Send drives
+// them, at payload sizes on both sides of ctrInlineMax: 64 and 176 B
+// (80 and 192 B inner packets) take the block-by-block keystream, 512
+// and 1400 B take cipher.NewCTR. Comparing the sizes with the constant
+// moved is how it was chosen.
+func BenchmarkGateway_SealOpenAES(b *testing.B) {
+	for _, size := range []int{64, 176, 512, 1400} {
+		b.Run(fmt.Sprint(size), func(b *testing.B) {
+			gwA, gwB := benchGateway(b, 1, SuiteAES128CTR)
+			pkt := []*Packet{{Src: MustAddr("10.1.0.5"), Dst: MustAddr("10.2.0.9"),
+				Proto: ProtoPing, Payload: make([]byte, size)}}
+			out, in := NewBatch(), NewBatch()
+			defer out.Release()
+			defer in.Release()
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sealed := gwA.ProcessOutboundBatch(out, pkt)
+				if sealed[0].Err != nil {
+					b.Fatal(sealed[0].Err)
+				}
+				if r := gwB.ProcessInboundBatch(in, []*Packet{sealed[0].Pkt}); r[0].Err != nil {
+					b.Fatal(r[0].Err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkGateway_SealOTP is the one-time-pad outbound path: pad XOR
 // plus the Wegman-Carter tag over the table-driven GF(2^64) hash. The
 // SA's pad covers benchOTPPadPackets packets; on exhaustion a fresh SA
@@ -1098,37 +1129,90 @@ func BenchmarkGateway_ParallelBatch(b *testing.B) {
 	})
 }
 
-// TestBatchSealAllocs pins the batched fast path's allocation counts.
-// Once the batch arena is warm, a 64-packet OTP burst is zero-alloc
-// (pad XOR and the table-driven tag touch no heap); the AES path pays
-// only cipher.NewCTR's per-packet stream object, nothing else.
+// burstAllocs measures the batched dataplane's allocations per
+// 64-packet burst of payload-byte packets through one tunnel of the
+// given suite: sealed by ProcessOutboundBatch and opened by
+// ProcessInboundBatch, each on a warm Batch. The Batches are taken
+// from their pool before measuring, because sync.Pool drops about a
+// quarter of its Puts under the race detector and CI runs these pins
+// with -race.
+func burstAllocs(t *testing.T, suite CipherSuite, payload int) (seal, open float64) {
+	t.Helper()
+	const burst, runs, warm = 64, 20, 4
+	gwA, gwB := benchGateway(t, 1, suite)
+	pkts := make([]*Packet, burst)
+	for i := range pkts {
+		pkts[i] = &Packet{Src: MustAddr("10.1.0.5"), Dst: MustAddr("10.2.0.9"),
+			Proto: ProtoPing, Payload: make([]byte, payload)}
+	}
+	// One sealed burst per open: AllocsPerRun calls its function
+	// runs+1 times, after warm calls here.
+	var sealed [][]*Packet
+	for r := 0; r < warm+runs+1; r++ {
+		bs := make([]*Packet, burst)
+		for i, p := range pkts {
+			var err error
+			if bs[i], err = gwA.ProcessOutbound(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sealed = append(sealed, bs)
+	}
+	out, in := NewBatch(), NewBatch()
+	defer out.Release()
+	defer in.Release()
+	for i := 0; i < warm; i++ {
+		gwA.ProcessOutboundBatch(out, pkts)
+		gwB.ProcessInboundBatch(in, sealed[i])
+	}
+	seal = testing.AllocsPerRun(runs, func() {
+		if res := gwA.ProcessOutboundBatch(out, pkts); res[0].Err != nil {
+			t.Fatal(res[0].Err)
+		}
+	})
+	next := warm
+	open = testing.AllocsPerRun(runs, func() {
+		res := gwB.ProcessInboundBatch(in, sealed[next])
+		next++
+		if res[0].Err != nil {
+			t.Fatal(res[0].Err)
+		}
+	})
+	return seal, open
+}
+
+// TestBatchSealAllocs pins the batched outbound path's allocation
+// counts. Once the batch arena is warm, a 64-packet OTP burst is
+// zero-alloc (pad XOR and the table-driven tag touch no heap), and so
+// is an AES burst of small packets, whose CTR keystream comes from the
+// SA's cached block cipher. Above ctrInlineMax the AES path pays one
+// allocation per packet, cipher.NewCTR's stream, and nothing else.
 func TestBatchSealAllocs(t *testing.T) {
 	const burst = 64
-	measure := func(suite CipherSuite) float64 {
-		gwA, _ := benchGateway(t, 1, suite)
-		pkts := make([]*Packet, burst)
-		for i := range pkts {
-			pkts[i] = &Packet{Src: MustAddr("10.1.0.5"), Dst: MustAddr("10.2.0.9"),
-				Proto: ProtoPing, Payload: make([]byte, 1400)}
-		}
-		bat := NewBatch()
-		defer bat.Release()
-		// Warm the arena and SPD index.
-		for i := 0; i < 4; i++ {
-			gwA.ProcessOutboundBatch(bat, pkts)
-		}
-		return testing.AllocsPerRun(20, func() {
-			res := gwA.ProcessOutboundBatch(bat, pkts)
-			if res[0].Err != nil {
-				t.Fatal(res[0].Err)
-			}
-		})
+	if seal, _ := burstAllocs(t, SuiteOTP, 1400); seal > 4 {
+		t.Errorf("batched OTP seal: %.1f allocs per %d-packet burst, want <= 4", seal, burst)
 	}
-	if avg := measure(SuiteOTP); avg > 4 {
-		t.Errorf("batched OTP seal: %.1f allocs per %d-packet burst, want <= 4", avg, burst)
+	if seal, _ := burstAllocs(t, SuiteAES128CTR, 64); seal > 0 {
+		t.Errorf("batched AES seal, 64 B: %.1f allocs per %d-packet burst, want 0", seal, burst)
 	}
-	if avg := measure(SuiteAES128CTR); avg > 2*burst+4 {
-		t.Errorf("batched AES seal: %.1f allocs per %d-packet burst, want <= %d (NewCTR only)",
-			avg, burst, 2*burst+4)
+	if seal, _ := burstAllocs(t, SuiteAES128CTR, 1400); seal > burst {
+		t.Errorf("batched AES seal, 1400 B: %.1f allocs per %d-packet burst, want <= %d (NewCTR only)",
+			seal, burst, burst)
+	}
+}
+
+// TestBatchOpenAllocs is TestBatchSealAllocs's inbound twin, for
+// ProcessInboundBatch.
+func TestBatchOpenAllocs(t *testing.T) {
+	const burst = 64
+	if _, open := burstAllocs(t, SuiteOTP, 1400); open > 0 {
+		t.Errorf("batched OTP open: %.1f allocs per %d-packet burst, want 0", open, burst)
+	}
+	if _, open := burstAllocs(t, SuiteAES128CTR, 64); open > 0 {
+		t.Errorf("batched AES open, 64 B: %.1f allocs per %d-packet burst, want 0", open, burst)
+	}
+	if _, open := burstAllocs(t, SuiteAES128CTR, 1400); open > burst {
+		t.Errorf("batched AES open, 1400 B: %.1f allocs per %d-packet burst, want <= %d (NewCTR only)",
+			open, burst, burst)
 	}
 }

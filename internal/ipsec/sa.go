@@ -138,7 +138,8 @@ type SA struct {
 	// HMAC state are built once at construction, not per packet.
 	block cipher.Block
 	mac   hash.Hash
-	icv   [sha1.Size]byte // scratch for mac.Sum
+	icv   [sha1.Size]byte     // scratch for mac.Sum
+	ctr   [aes.BlockSize]byte // scratch CTR counter block (xorCTRLocked)
 
 	// Lifecycle: a rollover marks the superseded generation, which keeps
 	// decrypting in-flight traffic until retireAt and is then refused.
@@ -410,23 +411,24 @@ func (sa *SA) sealAppendLocked(dst, payload []byte) ([]byte, error) {
 	out := dst[start:]
 	binary.BigEndian.PutUint32(out[0:], sa.SPI)
 	binary.BigEndian.PutUint32(out[4:], seq)
-	var iv [16]byte
-	binary.BigEndian.PutUint32(iv[:], sa.SPI)
-	binary.BigEndian.PutUint32(iv[4:], seq)
-	copy(out[8:], iv[:ivLen])
+	// The IV is SPI|seq zero-extended to the block size, written in
+	// place: a stack copy handed to crypto/cipher would escape per packet.
+	iv := out[8 : 8+ivLen]
+	n := copy(iv, out[:8])
+	clear(iv[n:])
 	ct := out[8+ivLen : 8+ivLen+ctLen]
 	switch sa.Suite {
 	case SuiteNull:
 		copy(ct, payload)
 	case SuiteAES128CTR:
-		cipher.NewCTR(sa.block, iv[:ivLen]).XORKeyStream(ct, payload)
+		sa.xorCTRLocked(ct, payload, iv)
 	case Suite3DESCBC:
 		copy(ct, payload)
 		padB := byte(ctLen - len(payload))
 		for i := len(payload); i < ctLen; i++ {
 			ct[i] = padB
 		}
-		cipher.NewCBCEncrypter(sa.block, iv[:ivLen]).CryptBlocks(ct, ct)
+		cipher.NewCBCEncrypter(sa.block, iv).CryptBlocks(ct, ct)
 	default:
 		return dst[:start], fmt.Errorf("ipsec: suite %v cannot seal", sa.Suite)
 	}
@@ -440,6 +442,43 @@ func (sa *SA) icvLocked(body []byte) []byte {
 	sa.mac.Reset()
 	sa.mac.Write(body)
 	return sa.mac.Sum(sa.icv[:0])[:icvLen]
+}
+
+// ctrInlineMax is the largest AES payload whose CTR keystream is built
+// block by block from the SA's cached cipher.Block. cipher.NewCTR copies
+// the AES key schedule to the heap on every call; its pipelined
+// keystream repays that only on larger packets
+// (BenchmarkGateway_SealOpenAES picks the size).
+const ctrInlineMax = 192
+
+// xorCTRLocked sets dst to src XOR the AES-CTR keystream whose first
+// counter block is iv, byte for byte what cipher.NewCTR(sa.block,
+// iv).XORKeyStream(dst, src) produces. Up to ctrInlineMax bytes the
+// keystream is encrypted straight into dst, one block at a time, with
+// sa.ctr as the counter; a partial last block is encrypted in place in
+// sa.ctr, which is not needed after it. Caller holds sa.mu.
+func (sa *SA) xorCTRLocked(dst, src, iv []byte) {
+	if len(src) > ctrInlineMax {
+		cipher.NewCTR(sa.block, iv).XORKeyStream(dst, src)
+		return
+	}
+	ctr := sa.ctr[:]
+	copy(ctr, iv)
+	full := len(src) &^ (aes.BlockSize - 1)
+	for off := 0; off < full; off += aes.BlockSize {
+		sa.block.Encrypt(dst[off:], ctr)
+		// Increment the counter as one 128-bit big-endian integer.
+		lo := binary.BigEndian.Uint64(ctr[8:]) + 1
+		binary.BigEndian.PutUint64(ctr[8:], lo)
+		if lo == 0 {
+			binary.BigEndian.PutUint64(ctr, binary.BigEndian.Uint64(ctr)+1)
+		}
+	}
+	if full < len(src) {
+		sa.block.Encrypt(ctr, ctr)
+		copy(dst[full:], ctr)
+	}
+	subtle.XORBytes(dst, dst, src)
 }
 
 // Open verifies, replay-checks and decrypts a sealed blob. An SA past
@@ -520,7 +559,7 @@ func (sa *SA) openAppendLocked(dst, blob []byte) ([]byte, error) {
 			dst = append(dst, data...)
 		case SuiteAES128CTR:
 			dst = appendZeros(dst, len(data))
-			cipher.NewCTR(sa.block, iv).XORKeyStream(dst[start:], data)
+			sa.xorCTRLocked(dst[start:], data, iv)
 		case Suite3DESCBC:
 			bs := sa.block.BlockSize()
 			if len(data)%bs != 0 || len(data) == 0 {

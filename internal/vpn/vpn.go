@@ -245,7 +245,9 @@ type Network struct {
 
 	// EveTap, when set, sees every tunnel packet crossing the simulated
 	// internet and may drop or rewrite it. It is called from every
-	// concurrent Send, so the tap must be safe for parallel use.
+	// concurrent Send, so the tap must be safe for parallel use. The
+	// packet and its payload live in the send's pooled batch and are
+	// valid only during the call: a tap that keeps a packet must copy it.
 	EveTap func(p *ipsec.Packet) (*ipsec.Packet, bool)
 
 	delivered      atomic.Uint64
@@ -581,7 +583,7 @@ func (n *Network) Establish() error {
 // carries the generation observed *now*, at signal time: if any other
 // path rolls the tunnel over before the rekeyer dequeues it, the stale
 // request is void and burns no key. Called from the dataplane
-// (ProcessOutbound), so it never blocks.
+// (the gateways' outbound path), so it never blocks.
 func (n *Network) requestRekey(pol *ipsec.Policy) {
 	t := n.byPolicy[pol.Name]
 	if t == nil {
@@ -900,21 +902,60 @@ func (n *Network) matchTunnel(p *ipsec.Packet) (t *tunnel, aToB bool) {
 	return t, pol == t.polAB
 }
 
+// sendBuf is one send's scratch, pooled across sends: the inner
+// packet, the burst of one that carries it through each gateway, and
+// the two batches whose arenas hold the sealed and the opened packet.
+type sendBuf struct {
+	inner   ipsec.Packet
+	burst   [1]*ipsec.Packet
+	out, in ipsec.Batch
+}
+
+var sendBufs = sync.Pool{New: func() any { return new(sendBuf) }}
+
+// newSendBuf takes a pooled sendBuf carrying the user packet.
+func newSendBuf(src, dst ipsec.Addr, id uint32, payload []byte) *sendBuf {
+	sb := sendBufs.Get().(*sendBuf)
+	sb.inner = ipsec.Packet{Src: src, Dst: dst, Proto: ipsec.ProtoPing, ID: id, Payload: payload}
+	return sb
+}
+
+// release returns sb to the pool without pinning the caller's payload.
+func (sb *sendBuf) release() {
+	sb.inner.Payload = nil
+	sb.burst[0] = nil
+	sendBufs.Put(sb)
+}
+
 // Send pushes one user packet from src enclave to dst enclave through
-// its tunnel and returns the payload as received at the far side. Safe
-// for concurrent use across (and within) tunnels.
+// its tunnel and returns the payload as received at the far side, in
+// a fresh copy the caller owns. Safe for concurrent use across (and
+// within) tunnels.
 func (n *Network) Send(src, dst ipsec.Addr, id uint32, payload []byte) ([]byte, error) {
-	inner := &ipsec.Packet{Src: src, Dst: dst, Proto: ipsec.ProtoPing, ID: id, Payload: payload}
+	sb := newSendBuf(src, dst, id, payload)
+	defer sb.release()
+	_, aToB := n.matchTunnel(&sb.inner)
+	return n.send(sb, aToB)
+}
+
+// send carries sb's packet through the tunnel direction already
+// resolved for it: sealed at the near gateway, past Eve, opened at the
+// far one. Both gateways run it as a burst of one in sb's batches, so
+// the copy of the delivered payload is the only allocation, apart from
+// cipher.NewCTR's on AES packets too large for the SA's own keystream.
+func (n *Network) send(sb *sendBuf, aToB bool) ([]byte, error) {
 	out, in := n.A.GW, n.B.GW
-	if _, aToB := n.matchTunnel(inner); !aToB {
+	if !aToB {
 		out, in = n.B.GW, n.A.GW
 	}
-	outer, err := out.ProcessOutbound(inner)
-	if err != nil {
+	sb.burst[0] = &sb.inner
+	r := out.ProcessOutboundBatch(&sb.out, sb.burst[:])[0]
+	if r.Err != nil {
 		n.dropped.Add(1)
-		return nil, err
+		return nil, r.Err
 	}
 	// Cross the simulated internet, where Eve may interfere.
+	outer := r.Pkt
 	if n.EveTap != nil {
 		var drop bool
 		outer, drop = n.EveTap(outer)
@@ -923,16 +964,18 @@ func (n *Network) Send(src, dst ipsec.Addr, id uint32, payload []byte) ([]byte, 
 			return nil, errors.New("vpn: packet lost in transit")
 		}
 	}
-	got, err := in.ProcessInbound(outer)
-	if err != nil {
+	sb.burst[0] = outer
+	r = in.ProcessInboundBatch(&sb.in, sb.burst[:])[0]
+	if r.Err != nil {
 		n.dropped.Add(1)
-		return nil, err
+		return nil, r.Err
 	}
-	if got.Src != src || got.Dst != dst || got.ID != id {
+	got := r.Pkt
+	if got.Src != sb.inner.Src || got.Dst != sb.inner.Dst || got.ID != sb.inner.ID {
 		return nil, fmt.Errorf("vpn: decapsulated packet headers corrupted")
 	}
 	n.delivered.Add(1)
-	return got.Payload, nil
+	return append([]byte(nil), got.Payload...), nil
 }
 
 // Ping sends A->B and expects delivery; a convenience for tests.
@@ -942,39 +985,53 @@ func (n *Network) Ping(id uint32) error {
 }
 
 // SendWithRollover sends, and on SA expiry transparently renegotiates
-// the flow's tunnel with fresh QKD key and retries once — the
-// deployment behaviour where "every time the lifetime expires, a new
-// security association must be negotiated and it will bring with it
-// fresh key material." Concurrent rollovers of one tunnel collapse
-// into a single negotiation.
+// the flow's tunnel with fresh QKD key and retries — the deployment
+// behaviour where "every time the lifetime expires, a new security
+// association must be negotiated and it will bring with it fresh key
+// material." Concurrent rollovers of one tunnel collapse into a single
+// negotiation. Like Send, it returns a fresh copy of the payload.
 func (n *Network) SendWithRollover(src, dst ipsec.Addr, id uint32, payload []byte) ([]byte, error) {
-	// Observe the tunnel generation before sending: if the send fails on
-	// an expired SA, that SA belonged to this generation, and the rekey
-	// below is void if anyone else has already rolled past it.
-	t, _ := n.matchTunnel(&ipsec.Packet{Src: src, Dst: dst, Proto: ipsec.ProtoPing})
-	var gen uint64
-	if t != nil {
-		gen = t.gen.Load()
-	}
-	got, err := n.Send(src, dst, id, payload)
-	if err == nil {
-		return got, nil
-	}
-	// ErrUnknownSPI is retryable too: during a rollover the responder
-	// installs its new outbound SA before the initiator's reply arrives,
-	// so a concurrent B->A packet can be sealed under a SPI the far side
-	// has not installed yet. rekeyTunnelFrom waits out the in-flight
-	// negotiation (whose completion voids the generation), after which
-	// the inbound SA exists and the retry lands.
-	if t != nil && (errors.Is(err, ipsec.ErrNoSA) || errors.Is(err, ipsec.ErrExpired) ||
-		errors.Is(err, ipsec.ErrPadExhaust) || errors.Is(err, ipsec.ErrUnknownSPI)) {
+	sb := newSendBuf(src, dst, id, payload)
+	defer sb.release()
+	t, aToB := n.matchTunnel(&sb.inner)
+	for round := 0; ; round++ {
+		// Observe the tunnel generation before sending: if the send
+		// fails on an expired SA, that SA normally belonged to this
+		// generation, and the rekey below is void if anyone else has
+		// already rolled past it. Not always: a rollover's SAs carry
+		// traffic once installed, a little before it bumps the
+		// generation, so a busy flow can spend the new SA under the old
+		// number and see its rekey skipped as done. The next round then
+		// rekeys for real.
+		var gen uint64
+		if t != nil {
+			gen = t.gen.Load()
+		}
+		got, err := n.send(sb, aToB)
+		if err == nil {
+			return got, nil
+		}
+		// ErrUnknownSPI is retryable too: during a rollover the responder
+		// installs its new outbound SA before the initiator's reply arrives,
+		// so a concurrent B->A packet can be sealed under a SPI the far side
+		// has not installed yet. rekeyTunnelFrom waits out the in-flight
+		// negotiation (whose completion voids the generation), after which
+		// the inbound SA exists and the retry lands.
+		retryable := errors.Is(err, ipsec.ErrNoSA) || errors.Is(err, ipsec.ErrExpired) ||
+			errors.Is(err, ipsec.ErrPadExhaust) || errors.Is(err, ipsec.ErrUnknownSPI)
+		if t == nil || round == maxRolloverRounds || !retryable {
+			return nil, err
+		}
 		if err := n.rekeyTunnelFrom(t, gen); err != nil {
 			return nil, fmt.Errorf("vpn: rollover failed: %w", err)
 		}
-		return n.Send(src, dst, id, payload)
 	}
-	return nil, err
 }
+
+// maxRolloverRounds bounds SendWithRollover's rekeys per packet: one
+// for the expiry itself, one more when the first was skipped because a
+// concurrent rollover's fresh SA was already spent.
+const maxRolloverRounds = 2
 
 // KeyRaceResult summarizes a key consumption/production race (E8).
 type KeyRaceResult struct {

@@ -175,6 +175,106 @@ func TestRolloverUnderByteLifetime(t *testing.T) {
 	_ = rollovers
 }
 
+func TestSendWithRolloverRekeysAgainWhenFreshSASpent(t *testing.T) {
+	// A rollover's SAs carry traffic once installed, a little before it
+	// bumps the tunnel's generation. A flow that failed on the old SA
+	// and waited out that rollover skips its own rekey as done; when the
+	// fresh SA was spent in the meantime, the retry must rekey again
+	// instead of failing with ErrNoSA.
+	n, err := New(Config{NoQKD: true, Suite: ipsec.SuiteAES128CTR,
+		Life: ipsec.Lifetime{Bytes: 200}, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	n.ChargeSynthetic(8 * ike.QblockBits)
+	if err := n.Establish(); err != nil {
+		t.Fatal(err)
+	}
+	// Background rekeys would refresh the SAs behind the test's back.
+	n.A.GW.OnMissingSA, n.B.GW.OnMissingSA = nil, nil
+	tn := n.tunnels[0]
+	// spend sends B->A until B's outbound SA is used up and removed.
+	spend := func() {
+		t.Helper()
+		for i := uint32(0); i < 100; i++ {
+			_, err := n.Send(HostB, HostA, 1000+i, make([]byte, 64))
+			switch {
+			case err == nil:
+			case errors.Is(err, ipsec.ErrNoSA), errors.Is(err, ipsec.ErrExpired):
+				return
+			default:
+				t.Fatalf("spending the SA: %v", err)
+			}
+		}
+		t.Fatal("the SA never expired")
+	}
+	spend()
+
+	// A rollover is in flight: it holds the tunnel's rekey lock.
+	//lint:lockorder the test plays an in-flight rollover, which holds rekeyMu across its whole negotiation as rekeyTunnelFrom does
+	tn.rekeyMu.Lock()
+	dropped := n.Stats().Dropped
+	res := make(chan error, 1)
+	go func() {
+		got, err := n.SendWithRollover(HostB, HostA, 1, []byte("pong"))
+		if err == nil && string(got) != "pong" {
+			err = errors.New("payload corrupted")
+		}
+		res <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for n.Stats().Dropped == dropped {
+		if time.Now().After(deadline) {
+			t.Fatal("the flow's first send never failed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The rollover installs fresh SAs, the flow's direction spends the
+	// new one, and only then does the rollover bump the generation.
+	if err := n.A.IKE.Negotiate(tn.polAB, tn.polBA.Name); err != nil {
+		t.Fatal(err)
+	}
+	spend()
+	tn.gen.Add(1)
+	tn.rekeyMu.Unlock()
+	if err := <-res; err != nil {
+		t.Fatalf("SendWithRollover: %v", err)
+	}
+}
+
+// TestSendAllocs pins the send path: a 64-byte AES packet through
+// SendWithRollover allocates only the delivered payload's copy. The
+// send scratch comes from a sync.Pool, which drops about a quarter of
+// its Puts under the race detector, so race builds skip the pin.
+func TestSendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	n, err := New(Config{NoQKD: true, Suite: ipsec.SuiteAES128CTR, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	n.ChargeSynthetic(4 * ike.QblockBits)
+	if err := n.Establish(); err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 64)
+	for i := 0; i < 8; i++ { // warm the pool and the SPD indexes
+		if _, err := n.SendWithRollover(HostA, HostB, uint32(i), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		if _, err := n.SendWithRollover(HostA, HostB, 1, payload); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 1 {
+		t.Errorf("SendWithRollover of a 64-byte AES packet: %.1f allocs/op, want <= 1", avg)
+	}
+}
+
 func TestKeyRaceOTPStarves(t *testing.T) {
 	// E8's core claim in miniature: an OTP tunnel consumes pad at
 	// traffic rate; with a slow QKD link the race is lost (rollovers
