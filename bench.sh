@@ -61,6 +61,11 @@
 #                                   KDS pressure signal, plus sampled
 #                                   overload-to-mark latency (DESIGN.md
 #                                   §13)
+#   ike     -> BENCH_ike.json       IKE quick mode: one negotiation from
+#                                   the lockstep pool, and one exchange
+#                                   over 1 or 32 tunnels (perfbench's
+#                                   rekey batch) keyed from KDS streams
+#                                   (DESIGN.md §11); not gated
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -167,6 +172,12 @@ run_flow_group() {
     emit BENCH_flow.json
 }
 
+run_ike_group() {
+    run ./internal/ike/ 'BenchmarkNegotiate$'
+    run ./internal/ike/ 'BenchmarkNegotiateBatch$/^(1|32)$'
+    emit BENCH_ike.json
+}
+
 # report: merge whatever per-group reports exist into one trend
 # artifact, keyed by group.
 if [[ "$mode" == "report" ]]; then
@@ -174,7 +185,7 @@ if [[ "$mode" == "report" ]]; then
 import json, os, sys
 
 groups = {}
-for g in ("distill", "kms", "qnet", "ipsec", "flow"):
+for g in ("distill", "kms", "qnet", "ipsec", "flow", "ike"):
     path = f"BENCH_{g}.json"
     if os.path.exists(path):
         with open(path) as f:
@@ -255,9 +266,10 @@ EOF
     exit 0
 fi
 
-# --- full run: all five groups ---------------------------------------
+# --- full run: all six groups ----------------------------------------
 run_distill_group
 run_kms_group
 run_qnet_group
 run_ipsec_group
 run_flow_group
+run_ike_group

@@ -248,18 +248,36 @@ func E18FlowControl(seed uint64, quick bool) (*Report, error) {
 		// (half-capacity appetite — the paper's premise is that OTP
 		// traffic is precious, not unbounded); rekey consumers are the
 		// overload, offering tens of times the link rate.
+		//
+		// The foreground controllers register their demand before any
+		// consumer starts, so the burst is visible to the background's
+		// first tick of the segment: auth requests sent in the gap
+		// would otherwise queue behind the burst and set the auth p99,
+		// depending on which goroutine the scheduler ran first.
+		otpCtl := make([]*flow.Controller, otpUsers)
+		rekeyCtl := make([]*flow.Controller, rekeyUsers)
+		if flowOn {
+			for i := range otpCtl {
+				otpCtl[i] = flow.NewController(fmt.Sprintf("e18/otp/%02d", i), kms.ClassOTP, kds, flow.Config{
+					MinWindow: otpBlock, MaxWindow: otpBlocks * otpBlock,
+					MarkHigh: 0.3, MarkLow: 0.15,
+				})
+			}
+			for i := range rekeyCtl {
+				rekeyCtl[i] = flow.NewController(fmt.Sprintf("e18/rekey/%02d", i), kms.ClassRekey, kds, flow.Config{
+					MinWindow: rekeyBlock, MaxWindow: rekeyBlocks * rekeyBlock,
+					MarkHigh: 0.3, MarkLow: 0.15,
+				})
+			}
+		}
 		fgEnd := wallNow().Add(seg2)
 		var fg sync.WaitGroup
 		for i := 0; i < otpUsers; i++ {
 			fg.Add(1)
 			go func(i int) {
 				defer fg.Done()
-				var ctl *flow.Controller
-				if flowOn {
-					ctl = flow.NewController(fmt.Sprintf("e18/otp/%02d", i), kms.ClassOTP, kds, flow.Config{
-						MinWindow: otpBlock, MaxWindow: otpBlocks * otpBlock,
-						MarkHigh: 0.3, MarkLow: 0.15,
-					})
+				ctl := otpCtl[i]
+				if ctl != nil {
 					defer func() { collect(ctl.Stats()); ctl.Close() }()
 				}
 				for wallNow().Before(fgEnd) {
@@ -290,12 +308,8 @@ func E18FlowControl(seed uint64, quick bool) (*Report, error) {
 			fg.Add(1)
 			go func(i int) {
 				defer fg.Done()
-				var ctl *flow.Controller
-				if flowOn {
-					ctl = flow.NewController(fmt.Sprintf("e18/rekey/%02d", i), kms.ClassRekey, kds, flow.Config{
-						MinWindow: rekeyBlock, MaxWindow: rekeyBlocks * rekeyBlock,
-						MarkHigh: 0.3, MarkLow: 0.15,
-					})
+				ctl := rekeyCtl[i]
+				if ctl != nil {
 					defer func() { collect(ctl.Stats()); ctl.Close() }()
 				}
 				for wallNow().Before(fgEnd) {
@@ -501,10 +515,16 @@ func E18FlowControl(seed uint64, quick bool) (*Report, error) {
 	// Famine with a trickle: enough deposits to seed the rate
 	// estimator at a starvation-level capacity, nowhere near enough to
 	// cover the storm — admission sheds, negotiations time out, the
-	// controller marks and the rekeyer spaces its retries.
+	// controller marks and the rekeyer spaces its retries. The trickle
+	// brings less than one Qblock per exchange timeout (256 bits every
+	// 48 ms, at most 800 bits in 150 ms; a late sleep only slows it),
+	// and the famine outlasts two timeouts. So the first exchange that
+	// starts once the slack block is spent cannot be fed in time,
+	// whatever batch size the controller picked and however the
+	// goroutines were scheduled.
 	for t := 0; t < 8; t++ {
-		time.Sleep(24 * time.Millisecond)
-		n.ChargeSynthetic(512)
+		time.Sleep(48 * time.Millisecond)
+		n.ChargeSynthetic(256)
 	}
 	stormStats := n.RekeyController().Stats()
 	stormWin := n.RekeyController().Window()

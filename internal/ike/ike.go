@@ -126,17 +126,18 @@ var (
 	ErrStopped  = errors.New("ike: daemon stopped")
 )
 
-// message kinds inside TIKE payloads.
+// message kinds inside TIKE payloads. Kinds 3, 4 and 5 (the
+// single-proposal quick-mode request, response and nack) are retired
+// and stay reserved: a single negotiation is a batch of one.
 const (
 	kindPh1Init      = 1
 	kindPh1Resp      = 2
-	kindPh2Req       = 3
-	kindPh2Resp      = 4
-	kindPh2Nack      = 5
 	kindDelete       = 6 // reserved: SA delete notification (wire space held)
 	kindPh2Cancel    = 7 // initiator -> responder: abandon a pending exchange
 	kindPh2BatchReq  = 8 // batched quick mode: many proposals, one exchange
 	kindPh2BatchResp = 9
+	kindPh2Commit    = 10 // initiator -> responder: HASH(3), its SAs are installed
+	kindPh2Connected = 11 // responder -> initiator: CONNECTED, its outbound SAs are installed
 )
 
 // Daemon is one gateway's IKE process.
@@ -166,6 +167,7 @@ type Daemon struct {
 	nextMsg    uint32
 	pending    map[uint32]chan []byte
 	respCancel map[uint32]chan struct{} // responder: live exchanges' abort channels
+	held       *heldOutbound            // responder: outbound SAs awaiting the initiator's commit
 	stopped    chan struct{}
 	negMu      sync.Mutex // serializes Phase 2 negotiations (initiator)
 	respMu     sync.Mutex // serializes Phase 2 responses (responder)
@@ -181,10 +183,11 @@ type Stats struct {
 	SAsEstablished  uint64
 	QbitsConsumed   uint64
 	AuthFailures    uint64
-	// Phase2Batches counts batched quick-mode exchanges (each covering
-	// many tunnels); TicketAllocs counts passes through the KDS QoS
-	// scheduler. A coalescing rekeyer keeps both far below the tunnel
-	// count during an expiry storm.
+	// Phase2Batches counts quick-mode exchanges, each covering one or
+	// more tunnels (a single negotiation is a batch of one).
+	// TicketAllocs counts every pass through the KDS QoS scheduler,
+	// shed passes that are retried included. A coalescing rekeyer
+	// keeps both far below the tunnel count during an expiry storm.
 	Phase2Batches uint64
 	TicketAllocs  uint64
 	// Phase2Backoffs counts shed key allocations retried after a
@@ -397,7 +400,7 @@ func (d *Daemon) run() {
 		kind := body[0]
 		msgID := binary.BigEndian.Uint32(body[1:5])
 		switch kind {
-		case kindPh2Req, kindPh2BatchReq:
+		case kindPh2BatchReq:
 			// Served off the receive loop so a blocking key withdrawal
 			// cannot deafen the daemon to a cancel for that very
 			// exchange; respMu keeps negotiations serialized (and the
@@ -443,11 +446,7 @@ func (d *Daemon) run() {
 					}
 					d.mu.Unlock()
 				}()
-				if kind == kindPh2BatchReq {
-					d.handlePhase2Batch(msgID, payload, cancel)
-				} else {
-					d.handlePhase2(msgID, payload, cancel)
-				}
+				d.handlePhase2Batch(msgID, payload, cancel)
 			}()
 		case kindPh2Cancel:
 			// The initiator abandoned the exchange (its timeout is
@@ -465,7 +464,9 @@ func (d *Daemon) run() {
 				d.logf("INFO: isakmp.c:xxxx: peer abandoned phase 2 msgid %d, canceling pending withdrawal", msgID)
 				close(ch)
 			}
-		case kindPh2Resp, kindPh2Nack, kindPh2BatchResp:
+		case kindPh2Commit:
+			d.commitHeld(msgID, body[5:])
+		case kindPh2BatchResp, kindPh2Connected:
 			d.mu.Lock()
 			ch := d.pending[msgID]
 			delete(d.pending, msgID)

@@ -75,11 +75,54 @@ func decodeProposal(b []byte) (*phase2Proposal, error) {
 	p.OTPBits = binary.BigEndian.Uint64(b[20:])
 	p.SPI = binary.BigEndian.Uint32(b[28:])
 	copy(p.Nonce[:], b[32:48])
-	p.HasTicket = b[48] != 0
+	if b[48] > 1 {
+		return nil, fmt.Errorf("ike: bad ticket flag %d", b[48])
+	}
+	p.HasTicket = b[48] == 1
 	p.TicketSeq = binary.BigEndian.Uint64(b[49:])
 	p.TicketOff = binary.BigEndian.Uint64(b[57:])
 	p.TicketBits = binary.BigEndian.Uint32(b[65:])
 	return p, nil
+}
+
+// encodeBatch appends a batched quick-mode request body to buf: a
+// 16-bit proposal count, then each proposal behind its 16-bit length.
+func encodeBatch(buf []byte, props []*phase2Proposal) []byte {
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(props)))
+	for _, p := range props {
+		enc := p.encode()
+		buf = binary.BigEndian.AppendUint16(buf, uint16(len(enc)))
+		buf = append(buf, enc...)
+	}
+	return buf
+}
+
+// decodeBatch parses a body encodeBatch wrote. It rejects truncated
+// proposals and trailing bytes, so every body it accepts re-encodes to
+// the same bytes.
+func decodeBatch(b []byte) ([]*phase2Proposal, error) {
+	if len(b) < 2 {
+		return nil, fmt.Errorf("ike: truncated batch count")
+	}
+	count := int(binary.BigEndian.Uint16(b))
+	b = b[2:]
+	var props []*phase2Proposal
+	for n := 0; n < count; n++ {
+		if len(b) < 2 || len(b) < 2+int(binary.BigEndian.Uint16(b)) {
+			return nil, fmt.Errorf("ike: truncated proposal %d of %d", n, count)
+		}
+		l := int(binary.BigEndian.Uint16(b))
+		prop, err := decodeProposal(b[2 : 2+l])
+		if err != nil {
+			return nil, fmt.Errorf("proposal %d: %w", n, err)
+		}
+		props = append(props, prop)
+		b = b[2+l:]
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("ike: %d trailing bytes after %d proposals", len(b), count)
+	}
+	return props, nil
 }
 
 func appendString(buf []byte, s string) []byte {
@@ -139,258 +182,6 @@ func (d *Daemon) allocMsgID() uint32 {
 	return d.nextMsg
 }
 
-// Negotiate runs quick mode for the given outbound policy (and its
-// reverse), installing SAs in both gateways' databases. Only the
-// Initiator daemon may call it.
-//
-// reversePolicy names the peer's outbound policy for the same tunnel
-// (traffic flowing back); the responder installs its outbound SA under
-// that name.
-func (d *Daemon) Negotiate(pol *ipsec.Policy, reversePolicy string) error {
-	if d.role != Initiator {
-		return fmt.Errorf("ike: only the initiator daemon negotiates")
-	}
-	//lint:lockorder negMu deliberately serializes phase-2 exchanges end to end, key withdrawal and response wait included; it is a protocol turnstile, not a data lock, and nothing acquires it from under another lock
-	d.negMu.Lock()
-	defer d.negMu.Unlock()
-	d.mu.Lock()
-	ready := d.skeyid != nil
-	d.mu.Unlock()
-	if !ready {
-		return ErrNotReady
-	}
-
-	prop := &phase2Proposal{
-		PolicyName:    pol.Name,
-		ReversePolicy: reversePolicy,
-		Suite:         pol.Suite,
-		LifeSeconds:   uint32(pol.Life.Duration / time.Second),
-		LifeBytes:     pol.Life.Bytes,
-		SPI:           d.allocSPI(),
-	}
-	d.rand.Bytes(prop.Nonce[:])
-	if pol.Suite == ipsec.SuiteOTP {
-		bits := pol.OTPBits
-		if bits == 0 {
-			bits = 8 * 1024 * 8 // 8 KiB of pad by default
-		}
-		prop.OTPBits = uint64(bits)
-	} else {
-		prop.Qblocks = uint32(d.cfg.Qblocks)
-	}
-
-	// With key delivery streams wired, allocate this negotiation's key
-	// block under the QoS scheduler up front and claim it; the ticket
-	// rides in the proposal so the responder claims the identical
-	// ledger range. The needed bits are rounded up to whole blocks
-	// (both ends slice off the same prefix).
-	var ticketKey *bitarray.BitArray
-	if st := d.streamFor(pol.Suite); st != nil {
-		needed := int(prop.Qblocks) * QblockBits
-		if pol.Suite == ipsec.SuiteOTP {
-			needed = 2 * int(prop.OTPBits)
-		}
-		blocks := (needed + st.BlockBits() - 1) / st.BlockBits()
-		var tk kms.Ticket
-		var key *bitarray.BitArray
-		err := d.retryShedAlloc(func() error {
-			var aerr error
-			tk, key, aerr = st.Next(blocks, d.cfg.Phase2Timeout, nil)
-			return aerr
-		})
-		if err != nil {
-			d.mu.Lock()
-			d.stats.Phase2Failed++
-			d.mu.Unlock()
-			if errors.Is(err, kms.ErrOverload) {
-				return fmt.Errorf("ike: key delivery shed the rekey: %w", err)
-			}
-			if errors.Is(err, keypool.ErrTimeout) {
-				return ErrTimeout
-			}
-			return fmt.Errorf("ike: allocating key block: %w", err)
-		}
-		d.mu.Lock()
-		d.stats.TicketAllocs++
-		d.mu.Unlock()
-		ticketKey = key
-		prop.HasTicket = true
-		prop.TicketSeq = tk.Seq
-		prop.TicketOff = tk.Offset
-		prop.TicketBits = uint32(tk.Bits)
-	}
-
-	msgID := d.allocMsgID()
-	d.logf("INFO: isakmp.c:939:isakmp_ph2begin_i(): initiate new phase 2 negotiation: %s[0]<=>%s[0]",
-		d.gw.Local, pol.PeerGW)
-	d.mu.Lock()
-	d.stats.Phase2Initiated++
-	ch := make(chan []byte, 1)
-	d.pending[msgID] = ch
-	d.mu.Unlock()
-
-	body := make([]byte, 5, 5+64)
-	body[0] = kindPh2Req
-	binary.BigEndian.PutUint32(body[1:5], msgID)
-	body = append(body, prop.encode()...)
-	if err := d.sendAuthed(body); err != nil {
-		return fmt.Errorf("ike: phase 2 send: %w", err)
-	}
-
-	var resp []byte
-	select {
-	case resp = <-ch:
-	case <-time.After(d.cfg.Phase2Timeout):
-		d.mu.Lock()
-		delete(d.pending, msgID)
-		d.stats.Phase2Failed++
-		d.mu.Unlock()
-		// Tell the responder the exchange is dead: its key withdrawal
-		// may still be blocking on the reservoir, and without the
-		// cancel it would eat key deposited for our retry (the paper's
-		// IKE has no such notion — its mismatched-pool failures simply
-		// persist until rekey; see ROADMAP).
-		cancel := make([]byte, 5)
-		cancel[0] = kindPh2Cancel
-		binary.BigEndian.PutUint32(cancel[1:5], msgID)
-		if err := d.sendAuthed(cancel); err != nil {
-			d.logf("ERROR: isakmp.c:xxxx: phase 2 cancel failed: %v", err)
-		}
-		return ErrTimeout
-	case <-d.stopped:
-		return ErrStopped
-	}
-	if resp[0] == kindPh2Nack {
-		d.mu.Lock()
-		d.stats.Phase2Failed++
-		d.mu.Unlock()
-		return ErrRejected
-	}
-	// resp: kind(1) msgID(4) spiR(4) nonceR(16)
-	if len(resp) != 5+4+16 {
-		return fmt.Errorf("ike: bad phase 2 response length %d", len(resp))
-	}
-	spiR := binary.BigEndian.Uint32(resp[5:9])
-	var nonceR [16]byte
-	copy(nonceR[:], resp[9:25])
-
-	return d.installSAs(prop, spiR, nonceR, true, ticketKey)
-}
-
-// handlePhase2 serves one inbound quick-mode request. cancel is the
-// exchange's abort channel, registered by the receive loop before this
-// handler was spawned; it fires if the initiator abandons the exchange
-// (or the daemon stops) while the handler is queued or blocked on the
-// key reservoir.
-func (d *Daemon) handlePhase2(msgID uint32, payload []byte, cancel <-chan struct{}) {
-	prop, err := decodeProposal(payload)
-	if err != nil {
-		d.logf("ERROR: isakmp.c:xxxx: malformed phase 2 proposal: %v", err)
-		return
-	}
-	d.mu.Lock()
-	d.stats.Phase2Responded++
-	d.mu.Unlock()
-
-	// Verify the named policies exist before consuming key material. A
-	// ticketed proposal still burned its ledger range on the initiator,
-	// so release the mirror range here or this side's claim frontier
-	// (and ledger pruning) stalls behind the hole forever.
-	rev := d.findPolicy(prop.ReversePolicy)
-	if rev == nil {
-		if prop.HasTicket {
-			if st := d.streamFor(prop.Suite); st != nil {
-				st.Release(d.ticketOf(prop, st))
-			}
-		}
-		d.nack(msgID)
-		return
-	}
-	d.logf("INFO: isakmp.c:1046:isakmp_ph2begin_r(): respond new phase 2 negotiation: %s[0]<=>%s[0]",
-		d.gw.Local, rev.PeerGW)
-	d.logf("INFO: proposal.c:1023:set_proposal_from_policy(): RESPONDER setting QPFS encmodesv 1")
-
-	spiR := d.allocSPI()
-	var nonceR [16]byte
-	d.rand.Bytes(nonceR[:])
-
-	// The responder consumes its key material before replying; the
-	// initiator consumes on receipt. Consumption order per negotiation
-	// is fixed (initiator->responder direction first), keeping the
-	// mirrored reservoirs in lockstep.
-	resp := make([]byte, 5+4+16)
-	resp[0] = kindPh2Resp
-	binary.BigEndian.PutUint32(resp[1:5], msgID)
-	binary.BigEndian.PutUint32(resp[5:9], spiR)
-	copy(resp[9:25], nonceR[:])
-
-	// The exchange may already have been abandoned (or the daemon
-	// stopped) while this handler was queued behind another blocked
-	// negotiation; the receive loop registered cancel before spawning
-	// us, so the check is race-free.
-	select {
-	case <-cancel:
-		d.logf("INFO: isakmp.c:xxxx: phase 2 msgid %d was abandoned before processing began", msgID)
-		if prop.HasTicket {
-			if st := d.streamFor(prop.Suite); st != nil {
-				st.Release(d.ticketOf(prop, st))
-			}
-		}
-		d.nack(msgID)
-		return
-	default:
-	}
-
-	// A ticketed proposal claims its (stream, sequence) block here —
-	// blocking until local distillation covers the range, bounded by
-	// the exchange's timeout and abortable by its cancel. Failure
-	// releases the range so both ends burn identical ledger.
-	var ticketKey *bitarray.BitArray
-	if prop.HasTicket {
-		st := d.streamFor(prop.Suite)
-		if st == nil {
-			d.logf("ERROR: bbn-qkd-qpd.c:xxxx: peer offered a KDS ticket but no delivery stream is configured")
-			d.nack(msgID)
-			return
-		}
-		tk := d.ticketOf(prop, st)
-		key, err := st.Claim(tk, d.cfg.Phase2Timeout, cancel)
-		if err != nil {
-			d.logf("ERROR: bbn-qkd-qpd.c:1101:qke_create_reply(): claiming (%s, %d): %v", tk.Stream, tk.Seq, err)
-			st.Release(tk)
-			d.nack(msgID)
-			return
-		}
-		ticketKey = key
-	}
-
-	if err := d.installSAsCancelable(prop, spiR, nonceR, false, cancel, ticketKey); err != nil {
-		d.logf("ERROR: bbn-qkd-qpd.c:1101:qke_create_reply(): %v", err)
-		d.nack(msgID)
-		return
-	}
-	if prop.Suite == ipsec.SuiteOTP {
-		d.logf("INFO: bbn-qkd-qpd.c:1047:qke_create_reply(): reply %d pad bits one-time-pad mode",
-			prop.OTPBits)
-	} else {
-		d.logf("INFO: bbn-qkd-qpd.c:1047:qke_create_reply(): reply %d Qblocks %d bits %f entropy (offer is %d Qblocks)",
-			prop.Qblocks, QblockBits, float64(prop.Qblocks*QblockBits), prop.Qblocks)
-	}
-	if err := d.sendAuthed(resp); err != nil {
-		d.logf("ERROR: isakmp.c:xxxx: phase 2 reply failed: %v", err)
-	}
-}
-
-func (d *Daemon) nack(msgID uint32) {
-	d.mu.Lock()
-	d.stats.Phase2Failed++
-	d.mu.Unlock()
-	body := make([]byte, 5)
-	body[0] = kindPh2Nack
-	binary.BigEndian.PutUint32(body[1:5], msgID)
-	d.sendAuthed(body)
-}
-
 func (d *Daemon) findPolicy(name string) *ipsec.Policy {
 	return d.gw.SPD.ByName(name)
 }
@@ -405,19 +196,17 @@ func (d *Daemon) ticketOf(prop *phase2Proposal, st *kms.Stream) kms.Ticket {
 	}
 }
 
-// installSAs derives KEYMAT (or withdraws pads) and installs both
-// directions' SAs. The initiator's outbound direction is always keyed
-// first so both reservoirs are consumed in the same order.
-func (d *Daemon) installSAs(prop *phase2Proposal, spiR uint32, nonceR [16]byte, isInitiator bool, ticketKey *bitarray.BitArray) error {
-	return d.installSAsCancelable(prop, spiR, nonceR, isInitiator, nil, ticketKey)
-}
-
-// installSAsCancelable is installSAs with an abort channel threaded
-// into the blocking key withdrawals (responder side: the exchange may
-// die while the reservoir fills). ticketKey, when non-nil, is the
-// pre-claimed (stream, sequence) key block; otherwise the key is
-// withdrawn from the lockstep pool.
-func (d *Daemon) installSAsCancelable(prop *phase2Proposal, spiR uint32, nonceR [16]byte, isInitiator bool, cancel <-chan struct{}, ticketKey *bitarray.BitArray) error {
+// installSAs derives KEYMAT (or withdraws pads) and installs this
+// side's SAs. The initiator's outbound direction is always keyed first
+// so both reservoirs are consumed in the same order. ticketKey, when
+// non-nil, is the pre-claimed (stream, sequence) key block; otherwise
+// the key is withdrawn from the lockstep pool, abortable by cancel
+// (responder side: the exchange may die while the reservoir fills).
+//
+// The initiator installs both directions. The responder installs its
+// inbound SA and returns its outbound one, which it holds until the
+// initiator commits (commitHeld).
+func (d *Daemon) installSAs(prop *phase2Proposal, spiR uint32, nonceR [16]byte, isInitiator bool, cancel <-chan struct{}, ticketKey *bitarray.BitArray) (*ipsec.SA, error) {
 	life := ipsec.Lifetime{
 		Duration: time.Duration(prop.LifeSeconds) * time.Second,
 		Bytes:    prop.LifeBytes,
@@ -446,7 +235,7 @@ func (d *Daemon) installSAsCancelable(prop *phase2Proposal, spiR uint32, nonceR 
 		// every subsequent SA.
 		pads, err := withdraw(2 * int(prop.OTPBits))
 		if err != nil {
-			return fmt.Errorf("withdrawing OTP pads: %w", err)
+			return nil, fmt.Errorf("withdrawing OTP pads: %w", err)
 		}
 		padIR := pads.Slice(0, int(prop.OTPBits))
 		padRI := pads.Slice(int(prop.OTPBits), pads.Len())
@@ -454,15 +243,15 @@ func (d *Daemon) installSAsCancelable(prop *phase2Proposal, spiR uint32, nonceR 
 		d.stats.QbitsConsumed += 2 * prop.OTPBits
 		d.mu.Unlock()
 		if saIR, err = ipsec.NewOTPSA(spiR, padIR.Bytes(), life); err != nil {
-			return err
+			return nil, err
 		}
 		if saRI, err = ipsec.NewOTPSA(prop.SPI, padRI.Bytes(), life); err != nil {
-			return err
+			return nil, err
 		}
 	} else {
 		qbits, err := withdraw(int(prop.Qblocks) * QblockBits)
 		if err != nil {
-			return fmt.Errorf("withdrawing %d Qblocks: %w", prop.Qblocks, err)
+			return nil, fmt.Errorf("withdrawing %d Qblocks: %w", prop.Qblocks, err)
 		}
 		d.mu.Lock()
 		skeyid := d.skeyid
@@ -479,10 +268,10 @@ func (d *Daemon) installSAsCancelable(prop *phase2Proposal, spiR uint32, nonceR 
 		d.logf("INFO: oakley.c:473:oakley_compute_keymat_x(): KEYMAT using %d bytes QBITS",
 			int(prop.Qblocks)*QblockBits/8)
 		if saIR, err = ipsec.NewSA(spiR, prop.Suite, kIR, life); err != nil {
-			return err
+			return nil, err
 		}
 		if saRI, err = ipsec.NewSA(prop.SPI, prop.Suite, kRI, life); err != nil {
-			return err
+			return nil, err
 		}
 	}
 
@@ -492,12 +281,13 @@ func (d *Daemon) installSAsCancelable(prop *phase2Proposal, spiR uint32, nonceR 
 	// traffic through its grace window and is then removed, so
 	// renegotiation no longer leaks undead inbound SAs.
 	peerGW := d.peerGateway(prop)
+	var held *ipsec.SA
 	if isInitiator {
 		d.gw.SAD.InstallOutbound(prop.PolicyName, saIR)
 		d.gw.SAD.InstallInboundFor(prop.ReversePolicy, peerGW, saRI)
 	} else {
 		d.gw.SAD.InstallInboundFor(prop.PolicyName, peerGW, saIR)
-		d.gw.SAD.InstallOutbound(prop.ReversePolicy, saRI)
+		held = saRI
 	}
 	d.mu.Lock()
 	d.stats.SAsEstablished += 2
@@ -510,7 +300,7 @@ func (d *Daemon) installSAsCancelable(prop *phase2Proposal, spiR uint32, nonceR 
 		d.gw.Local, peer, spiR, spiR)
 	d.logf("INFO: pfkey.c:1319:pk_recvadd(): IPsec-SA established: ESP/Tunnel %s->%s spi=%d(%#x)",
 		peer, d.gw.Local, prop.SPI, prop.SPI)
-	return nil
+	return held, nil
 }
 
 // peerGateway derives the remote tunnel endpoint for a negotiation:

@@ -1,6 +1,7 @@
 package ike
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -25,14 +26,27 @@ type BatchItem struct {
 // bits).
 const maxBatchItems = 1<<16 - 1
 
+// Negotiate runs quick mode for one tunnel, installing SAs in both
+// gateways' databases: a batch of one. reversePolicy names the peer's
+// outbound policy for the same tunnel (traffic flowing back); the
+// responder installs its outbound SA under that name. Only the
+// Initiator daemon may call it.
+func (d *Daemon) Negotiate(pol *ipsec.Policy, reversePolicy string) error {
+	errs, err := d.NegotiateBatch([]BatchItem{{pol, reversePolicy}})
+	if err != nil {
+		return err
+	}
+	return errs[0]
+}
+
 // NegotiateBatch runs quick mode for many tunnels in ONE authenticated
 // exchange, the rekey-storm amortization: a single message round
 // carries every proposal, and all key blocks drawn from the same
 // delivery stream are allocated under the QoS scheduler with ONE
 // ledger ticket for the whole burst, sliced into per-tunnel
 // block-aligned sub-ranges that both ends claim identically. Compared
-// to len(items) calls of Negotiate, a fabric-wide expiry storm costs
-// one scheduler pass and one round trip instead of thousands.
+// to one exchange per tunnel, a fabric-wide expiry storm costs one
+// scheduler pass and one round trip instead of thousands.
 //
 // The returned slice has one error per item (nil on success); the
 // second return is a batch-level failure (nothing was negotiated).
@@ -86,7 +100,7 @@ func (d *Daemon) NegotiateBatch(items []BatchItem) ([]error, error) {
 	// stream's total in one scheduler pass; the parent grant is then
 	// sliced into block-aligned sub-tickets (one per tunnel) that ride
 	// in the proposals. Items without a stream fall back to lockstep
-	// pool withdrawal in wire order, exactly as Negotiate would.
+	// pool withdrawal in wire order.
 	keys := make([]*bitarray.BitArray, len(items))
 	type group struct {
 		st     *kms.Stream
@@ -166,9 +180,11 @@ func (d *Daemon) NegotiateBatch(items []BatchItem) ([]error, error) {
 
 	// Items whose allocation failed stay out of the wire batch.
 	var wire []int
+	var sent []*phase2Proposal
 	for i := range items {
 		if errs[i] == nil {
 			wire = append(wire, i)
+			sent = append(sent, props[i])
 		}
 	}
 	if len(wire) == 0 {
@@ -176,35 +192,35 @@ func (d *Daemon) NegotiateBatch(items []BatchItem) ([]error, error) {
 	}
 
 	msgID := d.allocMsgID()
-	d.logf("INFO: isakmp.c:939:isakmp_ph2begin_i(): initiate batched phase 2 negotiation: %d tunnels", len(wire))
+	// perfbench reads this line and the pk_recvupdate one from site A's
+	// log: one begin per exchange, after its key is allocated, and one
+	// install per tunnel.
+	d.logf("INFO: isakmp.c:939:isakmp_ph2begin_i(): initiate new phase 2 negotiation: %s[0]<=>%s[0] (%d tunnels)",
+		d.gw.Local, items[wire[0]].Policy.PeerGW, len(wire))
 	d.mu.Lock()
 	d.stats.Phase2Initiated += uint64(len(wire))
 	d.stats.Phase2Batches++
-	ch := make(chan []byte, 1)
-	d.pending[msgID] = ch
 	d.mu.Unlock()
-
-	body := make([]byte, 7, 7+len(wire)*96)
-	body[0] = kindPh2BatchReq
-	binary.BigEndian.PutUint32(body[1:5], msgID)
-	binary.BigEndian.PutUint16(body[5:7], uint16(len(wire)))
-	for _, i := range wire {
-		enc := props[i].encode()
-		body = binary.BigEndian.AppendUint16(body, uint16(len(enc)))
-		body = append(body, enc...)
-	}
-	if err := d.sendAuthed(body); err != nil {
-		return nil, fmt.Errorf("ike: batched phase 2 send: %w", err)
-	}
-
-	var resp []byte
-	select {
-	case resp = <-ch:
-	case <-time.After(d.cfg.Phase2Timeout):
+	// failAll fails every item on the wire.
+	failAll := func() {
 		d.mu.Lock()
-		delete(d.pending, msgID)
 		d.stats.Phase2Failed += uint64(len(wire))
 		d.mu.Unlock()
+	}
+
+	body := make([]byte, 5, 7+len(wire)*96)
+	body[0] = kindPh2BatchReq
+	binary.BigEndian.PutUint32(body[1:5], msgID)
+	resp, err := d.roundTrip(msgID, encodeBatch(body, sent))
+	switch {
+	case errors.Is(err, ErrStopped):
+		return nil, err
+	case errors.Is(err, ErrTimeout):
+		failAll()
+		// Tell the responder the exchange is dead: a key withdrawal it
+		// is still blocked on would otherwise eat key deposited for our
+		// retry (the paper's IKE has no such notion; its
+		// mismatched-pool failures simply persist until rekey).
 		cancel := make([]byte, 5)
 		cancel[0] = kindPh2Cancel
 		binary.BigEndian.PutUint32(cancel[1:5], msgID)
@@ -215,16 +231,22 @@ func (d *Daemon) NegotiateBatch(items []BatchItem) ([]error, error) {
 			errs[i] = ErrTimeout
 		}
 		return errs, nil
-	case <-d.stopped:
-		return nil, ErrStopped
+	case err != nil:
+		failAll()
+		return nil, err
 	}
 
 	// resp: kind(1) msgID(4) count(2) { ok(1) spiR(4) nonceR(16) }*
 	const entryLen = 1 + 4 + 16
 	if len(resp) < 7 || int(binary.BigEndian.Uint16(resp[5:7])) != len(wire) ||
 		len(resp) != 7+len(wire)*entryLen {
+		failAll()
 		return nil, fmt.Errorf("ike: bad batched phase 2 response length %d", len(resp))
 	}
+	// live[k] is 1 where wire item k is installed on this side; the
+	// commit carries it so the responder installs exactly those.
+	live := make([]byte, len(wire))
+	held := false
 	for k, i := range wire {
 		e := resp[7+k*entryLen:]
 		if e[0] == 0 {
@@ -234,12 +256,114 @@ func (d *Daemon) NegotiateBatch(items []BatchItem) ([]error, error) {
 			d.mu.Unlock()
 			continue
 		}
+		held = true
 		spiR := binary.BigEndian.Uint32(e[1:5])
 		var nonceR [16]byte
 		copy(nonceR[:], e[5:21])
-		errs[i] = d.installSAs(props[i], spiR, nonceR, true, keys[i])
+		if _, errs[i] = d.installSAs(props[i], spiR, nonceR, true, nil, keys[i]); errs[i] == nil {
+			live[k] = 1
+		}
+	}
+	if !held {
+		return errs, nil
+	}
+	if err := d.commit(msgID, live); err != nil {
+		for k, i := range wire {
+			if live[k] == 1 {
+				errs[i] = err
+			}
+		}
 	}
 	return errs, nil
+}
+
+// roundTrip sends body, the initiator's message msgID, and waits for
+// the responder's answer to it. A failed send, a timeout or a stop
+// forgets the exchange.
+func (d *Daemon) roundTrip(msgID uint32, body []byte) ([]byte, error) {
+	ch := make(chan []byte, 1)
+	d.mu.Lock()
+	d.pending[msgID] = ch
+	d.mu.Unlock()
+	err := d.sendAuthed(body)
+	if err != nil {
+		err = fmt.Errorf("ike: phase 2 send: %w", err)
+	} else {
+		select {
+		case resp := <-ch:
+			return resp, nil
+		case <-time.After(d.cfg.Phase2Timeout):
+			err = ErrTimeout
+		case <-d.stopped:
+			err = ErrStopped
+		}
+	}
+	d.mu.Lock()
+	delete(d.pending, msgID)
+	d.mu.Unlock()
+	return nil, err
+}
+
+// heldOutbound is a responder exchange's outbound SAs, one slot per
+// proposal (nil where the item failed), kept out of the SAD until the
+// initiator commits.
+type heldOutbound struct {
+	msgID  uint32
+	policy []string
+	sa     []*ipsec.SA
+}
+
+// commit sends quick mode's third message, HASH(3), once this side's
+// SAs are in place, and waits for the responder's CONNECTED notify
+// (RFC 2408's commit bit). live has one flag per item on the wire. The
+// responder holds its outbound SAs until then: sealing under one
+// earlier races this side's inbound install, and a packet dropped here
+// for an unknown SPI would open later, when Eve replays it, as one
+// never seen. A failed commit fails every live item.
+func (d *Daemon) commit(msgID uint32, live []byte) error {
+	body := make([]byte, 7, 7+len(live))
+	body[0] = kindPh2Commit
+	binary.BigEndian.PutUint32(body[1:5], msgID)
+	binary.BigEndian.PutUint16(body[5:7], uint16(len(live)))
+	resp, err := d.roundTrip(msgID, append(body, live...))
+	if err == nil && (len(resp) != 6 || resp[5] != 1) {
+		err = ErrRejected
+	}
+	if err != nil {
+		d.mu.Lock()
+		d.stats.Phase2Failed += uint64(bytes.Count(live, []byte{1}))
+		d.mu.Unlock()
+	}
+	return err
+}
+
+// commitHeld serves the initiator's HASH(3): it installs the held
+// outbound SAs the initiator reports live on its side and answers
+// CONNECTED. A commit for any exchange but the held one, or with the
+// wrong item count, is refused.
+func (d *Daemon) commitHeld(msgID uint32, payload []byte) {
+	d.mu.Lock()
+	h := d.held
+	ok := h != nil && h.msgID == msgID && len(payload) == 2+len(h.sa) &&
+		int(binary.BigEndian.Uint16(payload)) == len(h.sa)
+	if ok {
+		d.held = nil
+	}
+	d.mu.Unlock()
+	resp := make([]byte, 6)
+	resp[0] = kindPh2Connected
+	binary.BigEndian.PutUint32(resp[1:5], msgID)
+	if ok {
+		resp[5] = 1
+		for k, sa := range h.sa {
+			if sa != nil && payload[2+k] == 1 {
+				d.gw.SAD.InstallOutbound(h.policy[k], sa)
+			}
+		}
+	}
+	if err := d.sendAuthed(resp); err != nil {
+		d.logf("ERROR: isakmp.c:xxxx: phase 2 CONNECTED notify failed: %v", err)
+	}
 }
 
 // handlePhase2Batch serves one inbound batched quick-mode request:
@@ -249,30 +373,10 @@ func (d *Daemon) NegotiateBatch(items []BatchItem) ([]error, error) {
 // burst; a batch abandoned by the initiator releases every remaining
 // range and stays silent.
 func (d *Daemon) handlePhase2Batch(msgID uint32, payload []byte, cancel <-chan struct{}) {
-	if len(payload) < 2 {
-		d.logf("ERROR: isakmp.c:xxxx: malformed batched phase 2 request")
+	props, err := decodeBatch(payload)
+	if err != nil {
+		d.logf("ERROR: isakmp.c:xxxx: malformed batched phase 2 request: %v", err)
 		return
-	}
-	count := int(binary.BigEndian.Uint16(payload[:2]))
-	props := make([]*phase2Proposal, 0, count)
-	b := payload[2:]
-	for n := 0; n < count; n++ {
-		if len(b) < 2 {
-			d.logf("ERROR: isakmp.c:xxxx: truncated batched phase 2 request")
-			return
-		}
-		l := int(binary.BigEndian.Uint16(b))
-		if len(b) < 2+l {
-			d.logf("ERROR: isakmp.c:xxxx: truncated batched phase 2 proposal")
-			return
-		}
-		prop, err := decodeProposal(b[2 : 2+l])
-		if err != nil {
-			d.logf("ERROR: isakmp.c:xxxx: malformed phase 2 proposal in batch: %v", err)
-			return
-		}
-		props = append(props, prop)
-		b = b[2+l:]
 	}
 	d.mu.Lock()
 	d.stats.Phase2Responded += uint64(len(props))
@@ -293,6 +397,7 @@ func (d *Daemon) handlePhase2Batch(msgID uint32, payload []byte, cancel <-chan s
 	resp[0] = kindPh2BatchResp
 	binary.BigEndian.PutUint32(resp[1:5], msgID)
 	binary.BigEndian.PutUint16(resp[5:7], uint16(len(props)))
+	held := &heldOutbound{msgID: msgID, policy: make([]string, len(props)), sa: make([]*ipsec.SA, len(props))}
 
 	for n, prop := range props {
 		// The initiator abandoned the batch: burn the remaining ledger
@@ -344,20 +449,17 @@ func (d *Daemon) handlePhase2Batch(msgID uint32, payload []byte, cancel <-chan s
 			tk := d.ticketOf(prop, st)
 			key, err := st.Claim(tk, d.cfg.Phase2Timeout, cancel)
 			if err != nil {
-				st.Release(tk)
-				d.logf("ERROR: bbn-qkd-qpd.c:1101:qke_create_reply(): claiming (%s, %d): %v", tk.Stream, tk.Seq, err)
-				d.mu.Lock()
-				d.stats.Phase2Failed++
-				d.mu.Unlock()
-				resp = append(resp, make([]byte, entryLen)...)
+				fail("batch item %d: claiming (%s, %d): %v", n, tk.Stream, tk.Seq, err)
 				continue
 			}
 			ticketKey = key
 		}
-		if err := d.installSAsCancelable(prop, spiR, nonceR, false, cancel, ticketKey); err != nil {
+		out, err := d.installSAs(prop, spiR, nonceR, false, cancel, ticketKey)
+		if err != nil {
 			fail("batch item %d: %v", n, err)
 			continue
 		}
+		held.policy[n], held.sa[n] = prop.ReversePolicy, out
 		if prop.Suite == ipsec.SuiteOTP {
 			d.logf("INFO: bbn-qkd-qpd.c:1047:qke_create_reply(): reply %d pad bits one-time-pad mode",
 				prop.OTPBits)
@@ -369,6 +471,11 @@ func (d *Daemon) handlePhase2Batch(msgID uint32, payload []byte, cancel <-chan s
 		resp = binary.BigEndian.AppendUint32(resp, spiR)
 		resp = append(resp, nonceR[:]...)
 	}
+	// The initiator serializes its exchanges, so one slot suffices: a
+	// newer exchange replaces whatever an abandoned one left behind.
+	d.mu.Lock()
+	d.held = held
+	d.mu.Unlock()
 	if err := d.sendAuthed(resp); err != nil {
 		d.logf("ERROR: isakmp.c:xxxx: batched phase 2 reply failed: %v", err)
 	}

@@ -809,27 +809,14 @@ func (n *Network) RenegotiateTunnel(name string) error {
 	return fmt.Errorf("vpn: no tunnel named %q", name)
 }
 
-// rekeyTunnelFrom negotiates fresh SAs for one tunnel unless its
-// generation has already moved past gen — the generation the caller
-// observed when it decided a rekey was needed. Concurrent callers
-// collapse: exactly one negotiation's key is burned per observed
-// expiry, no matter how many flows (or the background rekeyer) noticed.
+// rekeyTunnelFrom negotiates fresh SAs for one tunnel, a batch of one,
+// unless its generation has already moved past gen — the generation
+// the caller observed when it decided a rekey was needed. Concurrent
+// callers collapse: exactly one negotiation's key is burned per
+// observed expiry, no matter how many flows (or the background
+// rekeyer) noticed.
 func (n *Network) rekeyTunnelFrom(t *tunnel, gen uint64) error {
-	//lint:lockorder rekeyMu deliberately spans the whole negotiation so concurrent rekeys of one tunnel collapse to a single burned key
-	t.rekeyMu.Lock()
-	defer t.rekeyMu.Unlock()
-	if t.gen.Load() != gen {
-		return nil // a rollover since the caller looked installed fresh SAs
-	}
-	//lint:lockorder ikeMu is deliberately read-held across the blocking negotiation — it is the drain barrier RestartSite's exclusive acquisition waits on
-	n.ikeMu.RLock()
-	err := n.A.IKE.Negotiate(t.polAB, t.polBA.Name)
-	n.ikeMu.RUnlock()
-	if err != nil {
-		return err
-	}
-	t.gen.Add(1)
-	return nil
+	return n.negotiateTunnels([]*tunnel{t}, []uint64{gen})[0]
 }
 
 // Close tears the network down.
@@ -1011,12 +998,13 @@ func (n *Network) SendWithRollover(src, dst ipsec.Addr, id uint32, payload []byt
 		if err == nil {
 			return got, nil
 		}
-		// ErrUnknownSPI is retryable too: during a rollover the responder
-		// installs its new outbound SA before the initiator's reply arrives,
-		// so a concurrent B->A packet can be sealed under a SPI the far side
-		// has not installed yet. rekeyTunnelFrom waits out the in-flight
-		// negotiation (whose completion voids the generation), after which
-		// the inbound SA exists and the retry lands.
+		// ErrUnknownSPI is retryable too: the far side may have retired
+		// the generation the packet was sealed under, if rollovers
+		// completed between seal and open. The rekey below is then void
+		// (the generation moved) and the retry seals under the current
+		// SA. Quick mode's commit rules out the other cause: the
+		// responder seals under a new SA only once the initiator has
+		// installed its inbound side.
 		retryable := errors.Is(err, ipsec.ErrNoSA) || errors.Is(err, ipsec.ErrExpired) ||
 			errors.Is(err, ipsec.ErrPadExhaust) || errors.Is(err, ipsec.ErrUnknownSPI)
 		if t == nil || round == maxRolloverRounds || !retryable {
