@@ -32,12 +32,11 @@
 #     BenchmarkBBN4096QBER5                rank-indexed BBN Cascade, 5% QBER
 #     BenchmarkApply4096to2048             privacy amplification end to end
 #     BenchmarkPipeline_DistillPerFrame    full sift->EC->entropy->PA frame
-#   kms     -> BENCH_kms.json       key delivery service concurrent
-#                                   withdrawals (throughput + sampled p99
-#                                   latency) at 1/64/1024 consumers, plus
-#                                   the single-stripe serialization
-#                                   baseline, and stream claims against
-#                                   a 64 kbit / 8 Mbit ledger backlog
+#   kms     -> BENCH_kms.json       key delivery service: one
+#                                   allocate-and-claim against a
+#                                   64 kbit / 8 Mbit standing ledger
+#                                   backlog, the path IKE quick mode and
+#                                   PoolView withdrawals take
 #                                   (DESIGN.md §8)
 #   qnet    -> BENCH_qnet.json      unified QKD network layer: one
 #                                   end-to-end striped transport (route,
@@ -153,7 +152,7 @@ run_distill_group() {
 }
 
 run_kms_group() {
-    run . 'BenchmarkKMS_(Withdraw(1|64|1024|1024Serial)|ClaimBacklog)$'
+    run . 'BenchmarkKMS_ClaimBacklog$'
     emit BENCH_kms.json
 }
 

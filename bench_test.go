@@ -10,8 +10,6 @@
 package qkd
 
 import (
-	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -122,77 +120,8 @@ func BenchmarkE17_ChaosSoak(b *testing.B)   { benchExperiment(b, experiments.E17
 func BenchmarkE18_FlowControl(b *testing.B) { benchExperiment(b, experiments.E18FlowControl) }
 
 // ---------------------------------------------------------------------
-// Key delivery service: concurrent withdrawal path
+// Key delivery service: allocate and claim against a ledger backlog
 // ---------------------------------------------------------------------
-
-// benchKMSWithdraw measures `consumers` goroutines hammering 1024-bit
-// withdrawals against a store striped over `shards` mutexes. Each
-// withdrawal is recycled (deposited back), so the store stays charged
-// and the numbers isolate contention, not exhaustion. A sampled p99
-// per-op latency is reported alongside ns/op.
-func benchKMSWithdraw(b *testing.B, consumers, shards int) {
-	store := kms.NewStore(shards)
-	gen := rng.NewSplitMix64(1)
-	const withdrawBits = 1024
-	// Charge 4 in-flight withdrawals per consumer so transient
-	// exhaustion retries stay rare.
-	for i := 0; i < 4*consumers; i++ {
-		store.Deposit(gen.Bits(withdrawBits))
-	}
-	lat := make([][]int64, consumers)
-	var wg sync.WaitGroup
-	b.SetBytes(withdrawBits / 8)
-	b.ResetTimer()
-	for c := 0; c < consumers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			n := b.N / consumers
-			if c < b.N%consumers {
-				n++
-			}
-			for i := 0; i < n; i++ {
-				sampled := i%16 == 0
-				var t0 time.Time
-				if sampled {
-					t0 = time.Now()
-				}
-				bits, err := store.TryConsume(withdrawBits)
-				if err != nil {
-					i-- // transient: another consumer holds the bits
-					continue
-				}
-				if sampled {
-					// Sample before the recycling Deposit so the p99
-					// tracks withdrawal cost alone.
-					lat[c] = append(lat[c], int64(time.Since(t0)))
-				}
-				store.Deposit(bits)
-			}
-		}(c)
-	}
-	wg.Wait()
-	b.StopTimer()
-	var all []int64
-	for _, l := range lat {
-		all = append(all, l...)
-	}
-	if len(all) > 0 {
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		b.ReportMetric(float64(all[len(all)*99/100]), "p99-ns")
-	}
-}
-
-// BenchmarkKMS_Withdraw* sweep the consumer count on a 16-way store;
-// the Serial variant pins 1024 consumers to a single stripe — the old
-// one-mutex reservoir shape — so the sharding win is measured, not
-// assumed.
-func BenchmarkKMS_Withdraw1(b *testing.B)    { benchKMSWithdraw(b, 1, 16) }
-func BenchmarkKMS_Withdraw64(b *testing.B)   { benchKMSWithdraw(b, 64, 16) }
-func BenchmarkKMS_Withdraw1024(b *testing.B) { benchKMSWithdraw(b, 1024, 16) }
-func BenchmarkKMS_Withdraw1024Serial(b *testing.B) {
-	benchKMSWithdraw(b, 1024, 1)
-}
 
 // BenchmarkKMS_ClaimBacklog is one allocate-and-claim of a 576-bit
 // stream block (Stream.Next) while the ledger holds a standing backlog

@@ -51,7 +51,7 @@ func E13KDS(seed uint64, quick bool) (*Report, error) {
 	)
 	outageStart, outageEnd := ticks/3, ticks/3+ticks/6
 
-	kcfg := kms.Config{Shards: 16, StreamFraction: 1, ShedDelay: 30 * time.Millisecond}
+	kcfg := kms.Config{ShedDelay: 30 * time.Millisecond}
 	kdsA, kdsB := kms.New(kcfg), kms.New(kcfg)
 	defer kdsA.Close()
 	defer kdsB.Close()
@@ -280,8 +280,8 @@ func E13KDS(seed uint64, quick bool) (*Report, error) {
 	consumers := otpUsers + rekeyUsers + authUsers
 	r.Rowf("link: %d bits over %d virtual s (1 kbit/s-class, time-compressed %.2fs wall); +%d relay-mesh keys aggregated",
 		ticks*tickBits, ticks, elapsed.Seconds(), relayKeys)
-	r.Rowf("consumers: %d concurrent across %d QoS classes (%d otp > %d rekey > %d auth), %d-way sharded store",
-		consumers, int(kms.NumClasses), otpUsers, rekeyUsers, authUsers, kcfg.Shards)
+	r.Rowf("consumers: %d concurrent across %d QoS classes (%d otp > %d rekey > %d auth)",
+		consumers, int(kms.NumClasses), otpUsers, rekeyUsers, authUsers)
 	r.Rowf("%-8s %8s %8s %8s %9s %10s %10s", "class", "reqs", "served", "shed", "timeout", "p50 wait", "p99 wait")
 	for c := kms.Class(0); c < kms.NumClasses; c++ {
 		a := agg[c]

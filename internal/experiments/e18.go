@@ -65,7 +65,7 @@ func E18FlowControl(seed uint64, quick bool) (*Report, error) {
 		authCap     = 512  // flow-controlled per-request bite
 		bgFloor     = 64
 	)
-	kcfg := kms.Config{Shards: 16, StreamFraction: 1, ShedDelay: 30 * time.Millisecond}
+	kcfg := kms.Config{ShedDelay: 30 * time.Millisecond}
 
 	type phaseRes struct {
 		mu         sync.Mutex

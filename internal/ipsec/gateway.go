@@ -565,6 +565,11 @@ func (g *Gateway) sealRun(b *Batch, pkts []*Packet, lo, hi int, pol *Policy, c *
 	sa.mu.Lock()
 	for k := lo; k < hi; k++ {
 		p := pkts[k]
+		if len(p.Payload) > maxPayload {
+			b.res[k] = BatchResult{Err: fmt.Errorf("%w: %d-byte payload, at most %d",
+				ErrTooBig, len(p.Payload), maxPayload)}
+			continue
+		}
 		b.scratch = p.AppendMarshal(b.scratch[:0])
 		start := len(b.arena)
 		arena, err := sa.sealAppendLocked(b.arena, b.scratch)

@@ -371,6 +371,52 @@ func TestGatewayTunnelRoundTrip(t *testing.T) {
 	}
 }
 
+func TestGatewayRejectsPacketTooBigForLengthField(t *testing.T) {
+	// A payload one byte past the room in the 16-bit length field must
+	// fail before sealing and spend nothing; the largest payload that
+	// fits round-trips.
+	for _, suite := range []CipherSuite{SuiteAES128CTR, SuiteOTP} {
+		t.Run(suite.String(), func(t *testing.T) {
+			gwA, gwB := buildGatewayPair(t, SuiteAES128CTR)
+			if suite == SuiteOTP {
+				pad := randKey(8+2*(headerLen+65519+otpTagLen), 22)
+				out, _ := NewOTPSA(3000, pad, Lifetime{})
+				in, _ := NewOTPSA(3000, pad, Lifetime{})
+				gwA.SAD.InstallOutbound("a-to-b", out)
+				gwB.SAD.InstallInbound(in)
+			}
+			sa := gwA.SAD.Outbound("a-to-b")
+			padBefore := sa.PadRemaining()
+			send := func(n int) (*Packet, error) {
+				return gwA.ProcessOutbound(&Packet{
+					Src: MustAddr("10.1.0.5"), Dst: MustAddr("10.2.0.9"),
+					Proto: ProtoPing, ID: 7, Payload: bytes.Repeat([]byte{0x5a}, n),
+				})
+			}
+			if _, err := send(65520); !errors.Is(err, ErrTooBig) {
+				t.Fatalf("65,520-byte payload: %v, want ErrTooBig", err)
+			}
+			if got := gwA.Stats().Sealed; got != 0 || sa.seq != 0 {
+				t.Fatalf("Sealed = %d, seq = %d after the rejected packet", got, sa.seq)
+			}
+			if got := sa.PadRemaining(); got != padBefore {
+				t.Fatalf("PadRemaining %d -> %d after the rejected packet", padBefore, got)
+			}
+			outer, err := send(65519)
+			if err != nil {
+				t.Fatalf("65,519-byte payload: %v", err)
+			}
+			got, err := gwB.ProcessInbound(outer)
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			if !bytes.Equal(got.Payload, bytes.Repeat([]byte{0x5a}, 65519)) {
+				t.Fatalf("round trip returned %d bytes", len(got.Payload))
+			}
+		})
+	}
+}
+
 func TestGatewayNoSATriggersCallback(t *testing.T) {
 	gwA, _ := buildGatewayPair(t, SuiteAES128CTR)
 	gwA.SAD.RemoveOutbound("a-to-b", gwA.SAD.Outbound("a-to-b"))

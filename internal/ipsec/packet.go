@@ -70,6 +70,10 @@ type Packet struct {
 // headerLen is the marshaled header size.
 const headerLen = 16
 
+// maxPayload is the largest payload whose total length fits the
+// header's 16-bit length field.
+const maxPayload = 1<<16 - 1 - headerLen
+
 // Marshal serializes the packet.
 func (p *Packet) Marshal() []byte {
 	return p.AppendMarshal(nil)

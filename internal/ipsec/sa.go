@@ -85,6 +85,11 @@ var (
 	ErrNoPolicy   = errors.New("ipsec: no policy matches packet")
 	ErrDiscard    = errors.New("ipsec: policy discards packet")
 	ErrUnknownSPI = errors.New("ipsec: unknown SPI")
+	// ErrTooBig rejects an inner packet whose total length does not
+	// fit the header's 16-bit length field. The gateway refuses it
+	// before sealing, so it spends no sequence number, byte budget or
+	// pad.
+	ErrTooBig = errors.New("ipsec: packet too big for the length field")
 )
 
 const icvLen = 12 // HMAC-SHA1-96

@@ -20,7 +20,7 @@
 // condition-variable Broadcast).
 //
 // Consumers that should not see a concrete *Reservoir — because their
-// key really comes from the sharded, QoS-scheduled delivery service in
+// key really comes from the QoS-scheduled delivery service in
 // internal/kms — accept the Source/Sink/Pool interfaces instead.
 package keypool
 

@@ -10,9 +10,9 @@ import (
 // PoolView adapts a Service to keypool.Pool, so consumers written
 // against the raw reservoir (IKE daemons, Wegman-Carter MACs, the
 // distillation engines' deposit path) plug into the KDS unchanged:
-// deposits ingest, blocking withdrawals ride the QoS scheduler at the
-// view's class, and TryConsume drains the bulk store first and falls
-// back to an immediate scheduler grant.
+// deposits ingest, and every withdrawal allocates and claims on a
+// one-bit-block stream at the view's class — TryConsume as an
+// immediate grant, Consume through the QoS scheduler.
 //
 // Withdrawals through a PoolView are granted in local request order,
 // so two mirrored PoolViews agree bit-for-bit only under the lockstep
@@ -42,56 +42,27 @@ func (s *Service) PoolView(c Class) *PoolView {
 // Deposit ingests bits from the default source.
 func (v *PoolView) Deposit(bits *bitarray.BitArray) { v.svc.Ingest(bits) }
 
-// Available reports ledger plus store bits on hand.
+// Available reports the unallocated ledger bits on hand.
 func (v *PoolView) Available() int { return v.svc.Available() }
 
 // Stats reports service-wide lifetime totals: bits ingested and bits
-// delivered (stream claims, releases, and store withdrawals).
+// delivered (stream claims and releases).
 func (v *PoolView) Stats() (deposited, consumed uint64) {
 	st := v.svc.Stats()
-	_, storeConsumed := v.svc.store.Stats()
-	return st.DepositedBits, st.ClaimedBits + st.ReleasedBits + storeConsumed
+	return st.DepositedBits, st.ClaimedBits + st.ReleasedBits
 }
 
-// TryConsume removes exactly n bits or fails without removing any:
-// from the sharded store, from an immediate scheduler grant on the
-// ledger, or — when the balance is split across the two lanes — from
-// both combined, so TryConsume(Available()) drains a split service
-// just as it drains a raw reservoir.
+// TryConsume removes exactly n bits or fails without removing any: an
+// immediate scheduler grant on the ledger, claimed at once.
 func (v *PoolView) TryConsume(n int) (*bitarray.BitArray, error) {
 	if n == 0 {
 		return bitarray.New(0), nil
 	}
-	if bits, err := v.svc.store.TryConsume(n); err == nil {
-		return bits, nil
-	}
-	if tk, err := v.svc.tryAllocBits(v.st, n); err == nil {
-		return v.st.Claim(tk, 0, nil)
-	}
-	// Neither lane covers n alone; take what the store holds and grant
-	// the remainder from the ledger, giving the store part back if the
-	// grant fails (all-or-nothing).
-	fromStore := v.svc.store.Available()
-	if fromStore <= 0 || fromStore >= n {
-		return nil, ErrExhausted
-	}
-	part, err := v.svc.store.TryConsume(fromStore)
+	tk, err := v.st.TryAllocate(n)
 	if err != nil {
-		return nil, ErrExhausted
-	}
-	tk, err := v.svc.tryAllocBits(v.st, n-part.Len())
-	if err != nil {
-		v.svc.store.Deposit(part)
-		return nil, ErrExhausted
-	}
-	rest, err := v.st.Claim(tk, 0, nil)
-	if err != nil {
-		v.st.Release(tk)
-		v.svc.store.Deposit(part)
 		return nil, err
 	}
-	part.AppendAll(rest)
-	return part, nil
+	return v.st.Claim(tk, 0, nil)
 }
 
 // Consume blocks in the QoS scheduler at the view's class.
@@ -99,60 +70,13 @@ func (v *PoolView) Consume(n int, timeout time.Duration) (*bitarray.BitArray, er
 	return v.ConsumeCancelable(n, timeout, nil)
 }
 
-// ConsumeCancelable is Consume with an abort channel. A balance
-// already on hand — even split across the store and ledger lanes — is
-// served immediately; only a genuine shortfall enters the scheduler.
+// ConsumeCancelable is Consume with an abort channel. A canceled
+// withdrawal never races a fresh deposit to the bits (keypool
+// contract): Next checks cancel before it queues.
 func (v *PoolView) ConsumeCancelable(n int, timeout time.Duration, cancel <-chan struct{}) (*bitarray.BitArray, error) {
 	if n == 0 {
 		return bitarray.New(0), nil
 	}
-	if cancel != nil {
-		// A withdrawal whose exchange already died must never race a
-		// fresh deposit to the bits (keypool contract).
-		select {
-		case <-cancel:
-			return nil, ErrCanceled
-		default:
-		}
-	}
-	if bits, err := v.TryConsume(n); err == nil {
-		return bits, nil
-	}
-	// Pre-grab whatever the store lane holds so the scheduler wait only
-	// covers the remainder; the store part goes back if the wait fails.
-	// (Store bits arriving *during* the wait are not reconsidered — the
-	// blocked remainder is a ledger-lane ticket; with the default
-	// StreamFraction of 1 the store lane is empty and the keypool
-	// blocking contract is exact.)
-	var part *bitarray.BitArray
-	need := n
-	if sa := v.svc.store.Available(); sa > 0 && sa < n {
-		if p, err := v.svc.store.TryConsume(sa); err == nil {
-			part = p
-			need = n - p.Len()
-		}
-	}
-	giveBack := func() {
-		if part != nil {
-			v.svc.store.Deposit(part)
-		}
-	}
-	tk, err := v.svc.allocBits(v.st, need, timeout, cancel)
-	if err != nil {
-		giveBack()
-		return nil, err
-	}
-	bits, err := v.st.Claim(tk, timeout, cancel)
-	if err != nil {
-		// The grant is spent either way; retire it so the ledger's
-		// claim frontier keeps advancing.
-		v.st.Release(tk)
-		giveBack()
-		return nil, err
-	}
-	if part != nil {
-		part.AppendAll(bits)
-		return part, nil
-	}
-	return bits, nil
+	_, bits, err := v.st.Next(n, timeout, cancel)
+	return bits, err
 }

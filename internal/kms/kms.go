@@ -7,11 +7,6 @@
 // sits between the distillation engines (and any other key source) and
 // every consumer, and provides:
 //
-//   - a sharded key store ([Store]) — striped reservoirs behind
-//     lock-free available counters, so thousands of concurrent
-//     withdrawals stripe across shard mutexes instead of serializing
-//     on one;
-//
 //   - named key streams ([Stream]) with synchronized block IDs: the
 //     two mirrored endpoints of a QKD link carve *identical* key
 //     blocks by (stream, sequence) ticket instead of relying on
@@ -111,14 +106,6 @@ var (
 
 // Config tunes a Service.
 type Config struct {
-	// Shards is the stripe count of the bulk store (default 8).
-	Shards int
-	// StreamFraction is the fraction of every deposit routed to the
-	// synchronized stream ledger; the remainder feeds the sharded bulk
-	// store. The split is a pure function of cumulative deposits, so
-	// mirrored Services route identically. Default 1.0 (everything
-	// synchronized); 0 < StreamFraction <= 1.
-	StreamFraction float64
 	// ShedDelay is the admission-control horizon: a ClassAuth request
 	// whose projected queue wait exceeds it is shed with ErrOverload
 	// (ClassRekey gets 8x the horizon; ClassOTP is never shed).
@@ -135,12 +122,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 8
-	}
-	if c.StreamFraction <= 0 || c.StreamFraction > 1 {
-		c.StreamFraction = 1
-	}
 	if c.ShedDelay <= 0 {
 		c.ShedDelay = 250 * time.Millisecond
 	}
@@ -167,9 +148,7 @@ func (c Config) shedHorizon(cl Class) time.Duration {
 
 // Stats is a Service activity snapshot.
 type Stats struct {
-	DepositedBits uint64 // total ingested
-	LedgerBits    uint64 // routed to the synchronized stream ledger
-	StoreBits     uint64 // routed to the sharded bulk store
+	DepositedBits uint64 // total ingested into the ledger
 	ClaimedBits   uint64 // delivered through stream claims
 	ReleasedBits  uint64 // tickets spent without retrieval
 	BufferedBits  uint64 // held in DTN custody across source outages
@@ -193,20 +172,18 @@ type Stats struct {
 
 // Service is one endpoint's key delivery service.
 type Service struct {
-	cfg   Config
-	store *Store
+	cfg Config
 
 	mu     sync.Mutex
 	closed bool
 
-	// The synchronized ledger: every bit routed here has an absolute
+	// The synchronized ledger: every deposited bit has an absolute
 	// offset (identical on the mirrored peer), and stream tickets
 	// address ranges of it.
 	ledger     *bitarray.BitArray
 	ledgerBase uint64        // absolute offset of ledger bit 0
 	ledgerEnd  atomic.Uint64 // absolute end of deposited ledger bits
 	granted    atomic.Uint64 // allocation cursor (absolute); written under mu
-	deposited  uint64        // total bits ingested (ledger + store)
 
 	streams map[string]*Stream
 	sources map[string]*Feed
@@ -244,7 +221,6 @@ func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	return &Service{
 		cfg:     cfg,
-		store:   NewStore(cfg.Shards),
 		ledger:  bitarray.New(0),
 		streams: make(map[string]*Stream),
 		sources: make(map[string]*Feed),
@@ -253,70 +229,35 @@ func New(cfg Config) *Service {
 	}
 }
 
-// Ingest deposits distilled bits from the default (direct-link) source.
-// The deposit is split between the synchronized stream ledger and the
-// sharded bulk store by a pure function of cumulative deposits, so the
-// mirrored peer Service splits identically.
+// Ingest deposits distilled bits from the default (direct-link) source,
+// appending them to the ledger. The mirrored peer Service ingests the
+// same bits in the same order, so both ledgers hold them at the same
+// absolute offsets.
 func (s *Service) Ingest(bits *bitarray.BitArray) {
 	n := bits.Len()
 	if n == 0 {
 		return
 	}
-	var storePart *bitarray.BitArray
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return
 	}
-	s.deposited += uint64(n)
 	s.stats.DepositedBits += uint64(n)
-	target := uint64(float64(s.deposited) * s.cfg.StreamFraction)
-	end := s.ledgerEnd.Load()
-	take := 0
-	if target > end {
-		take = int(target - end)
-		if take > n {
-			take = n
-		}
-	}
-	if take > 0 {
-		if take == n {
-			s.ledger.AppendAll(bits)
-		} else {
-			s.ledger.AppendAll(bits.Slice(0, take))
-		}
-		s.ledgerEnd.Store(end + uint64(take))
-		s.stats.LedgerBits += uint64(take)
-	}
-	if take < n {
-		storePart = bits.Slice(take, n)
-		s.stats.StoreBits += uint64(n - take)
-	}
-	// Admission control projects queue waits against the rate the
-	// scheduler actually grants from — the ledger share only, or a
-	// split deposit stream would make it overestimate capacity by
-	// 1/StreamFraction and admit requests doomed to time out.
-	s.rate.observe(take, s.cfg.Now())
+	s.ledger.AppendAll(bits)
+	s.ledgerEnd.Add(uint64(n))
+	s.rate.observe(n, s.cfg.Now())
 	s.serveClaimsLocked()
 	s.dispatchLocked()
-	s.mu.Unlock()
-	if storePart != nil {
-		s.store.Deposit(storePart)
-	}
 }
 
-// Store returns the sharded bulk store: the high-concurrency lane for
-// consumers that do not need cross-endpoint block identity.
-func (s *Service) Store() *Store { return s.store }
-
-// Available returns the bits on hand across the ledger (unallocated)
-// and the bulk store, without taking the service lock.
+// Available returns the unallocated ledger bits on hand, without
+// taking the service lock.
 func (s *Service) Available() int {
-	ledger := int64(s.ledgerEnd.Load()) - int64(s.granted.Load())
-	if ledger < 0 {
-		ledger = 0
+	if n := int64(s.ledgerEnd.Load()) - int64(s.granted.Load()); n > 0 {
+		return int(n)
 	}
-	return int(ledger) + s.store.Available()
+	return 0
 }
 
 // Stats returns a snapshot. Feed custody is summed outside the service
@@ -365,7 +306,6 @@ func (s *Service) Close() {
 	s.claimWaiters = nil
 	s.ledger = bitarray.New(0)
 	s.mu.Unlock()
-	s.store.Close()
 }
 
 // ---------------------------------------------------------------------
@@ -622,15 +562,6 @@ func (s *Service) ProjectedWait(c Class, bits int) (wait time.Duration, known bo
 		return 0, true
 	}
 	return s.projectedWaitLocked(c, bits)
-}
-
-// DepositRate returns the EWMA ledger deposit rate in bits per second
-// (0 until the estimator has measured an interval) — the capacity side
-// of the signal flow controllers pace against.
-func (s *Service) DepositRate() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rate.perSecond()
 }
 
 // ---------------------------------------------------------------------

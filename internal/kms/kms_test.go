@@ -25,7 +25,10 @@ func mirrored(cfg Config) (*Service, *Service, func(gen *rng.SplitMix64, n int))
 }
 
 func TestStoreConservationConcurrent(t *testing.T) {
-	s := NewStore(8)
+	// Concurrent depositors and TryConsume consumers on one PoolView:
+	// every deposited bit is withdrawn exactly once.
+	s := New(Config{})
+	v := s.PoolView(ClassRekey)
 	const total = 1 << 18
 	const chunk = 256
 	var dwg sync.WaitGroup
@@ -35,7 +38,7 @@ func TestStoreConservationConcurrent(t *testing.T) {
 			defer dwg.Done()
 			gen := rng.NewSplitMix64(uint64(d) + 1)
 			for i := 0; i < total/4/chunk; i++ {
-				s.Deposit(gen.Bits(chunk))
+				v.Deposit(gen.Bits(chunk))
 			}
 		}(d)
 	}
@@ -46,7 +49,7 @@ func TestStoreConservationConcurrent(t *testing.T) {
 		go func() {
 			defer cwg.Done()
 			for {
-				bits, err := s.TryConsume(64)
+				bits, err := v.TryConsume(64)
 				if err != nil {
 					if got.load() >= total {
 						return
@@ -67,10 +70,10 @@ func TestStoreConservationConcurrent(t *testing.T) {
 	if got.load() != total {
 		t.Fatalf("consumed %d of %d deposited bits", got.load(), total)
 	}
-	if s.Available() != 0 {
-		t.Fatalf("leftover %d", s.Available())
+	if v.Available() != 0 {
+		t.Fatalf("leftover %d", v.Available())
 	}
-	dep, con := s.Stats()
+	dep, con := v.Stats()
 	if dep != total || con != total {
 		t.Fatalf("stats %d/%d", dep, con)
 	}
@@ -93,19 +96,23 @@ func (a *atomic64) load() uint64 {
 }
 
 func TestStoreAllOrNothing(t *testing.T) {
-	s := NewStore(4)
-	s.Deposit(bitarray.New(100))
-	if _, err := s.TryConsume(101); !errors.Is(err, ErrExhausted) {
+	s := New(Config{})
+	v := s.PoolView(ClassRekey)
+	v.Deposit(bitarray.New(100))
+	if _, err := v.TryConsume(101); !errors.Is(err, ErrExhausted) {
 		t.Fatalf("err = %v", err)
 	}
-	if s.Available() != 100 {
-		t.Fatalf("partial consumption: %d left", s.Available())
+	if v.Available() != 100 {
+		t.Fatalf("partial consumption: %d left", v.Available())
 	}
-	if _, err := s.TryConsume(100); err != nil {
+	if _, err := v.TryConsume(v.Available()); err != nil {
 		t.Fatal(err)
 	}
+	if v.Available() != 0 {
+		t.Fatalf("drain left %d", v.Available())
+	}
 	s.Close()
-	if _, err := s.TryConsume(1); !errors.Is(err, ErrClosed) {
+	if _, err := v.TryConsume(1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("after close: %v", err)
 	}
 }
@@ -452,29 +459,39 @@ func TestFeedDTNCustodyAcrossOutage(t *testing.T) {
 }
 
 func TestStreamFractionSplitsDeterministically(t *testing.T) {
-	cfg := Config{StreamFraction: 0.5}
-	a, b, _ := mirrored(cfg)
+	// Every bit of every deposit reaches the ledger in arrival order, so
+	// mirrored Services fed irregular chunks hold identical ledgers and
+	// one ticket over all of it resolves to the concatenated deposits.
+	a, b, _ := mirrored(Config{})
 	defer a.Close()
 	defer b.Close()
+	stA, _ := a.NewStream("all", 1, ClassOTP)
+	stB, _ := b.NewStream("all", 1, ClassOTP)
 	gen := rng.NewSplitMix64(4)
-	// Irregular chunk sizes; the ledger/store split must depend only on
-	// cumulative totals.
-	var total int
+	want := bitarray.New(0)
 	for _, n := range []int{7, 130, 64, 1, 999, 333} {
 		bits := gen.Bits(n)
+		want.AppendAll(bits)
 		a.Ingest(bits.Clone())
 		b.Ingest(bits)
-		total += n
 	}
-	sa, sb := a.Stats(), b.Stats()
-	if sa.LedgerBits != sb.LedgerBits || sa.StoreBits != sb.StoreBits {
-		t.Fatalf("split diverged: %d/%d vs %d/%d", sa.LedgerBits, sa.StoreBits, sb.LedgerBits, sb.StoreBits)
+	total := want.Len()
+	if sa, sb := a.Stats(), b.Stats(); sa.DepositedBits != uint64(total) || sb.DepositedBits != uint64(total) {
+		t.Fatalf("deposited %d / %d of %d", sa.DepositedBits, sb.DepositedBits, total)
 	}
-	if sa.LedgerBits != uint64(total/2) {
-		t.Fatalf("ledger got %d of %d", sa.LedgerBits, total)
+	if a.Available() != total || b.Available() != total {
+		t.Fatalf("Available %d / %d of %d", a.Available(), b.Available(), total)
 	}
-	if got := a.Store().Available(); got != total-total/2 {
-		t.Fatalf("store got %d", got)
+	tk, bitsA, err := stA.Next(total, time.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitsB, err := stB.Claim(tk, time.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bitsA.Equal(want) || !bitsB.Equal(want) {
+		t.Fatal("ledger does not hold the deposits in arrival order")
 	}
 }
 
@@ -565,10 +582,10 @@ func TestCloseFailsQueuedRequests(t *testing.T) {
 }
 
 func TestConcurrentMixedLoadStress(t *testing.T) {
-	// 200 concurrent consumers across classes and lanes against a
-	// trickling depositor, under -race: conservation of granted bits
-	// and zero high-class failures.
-	s := New(Config{Shards: 8, StreamFraction: 0.5, ShedDelay: 5 * time.Millisecond})
+	// 200 concurrent consumers across classes against a trickling
+	// depositor, under -race: exact key conservation at quiescence and
+	// zero high-class failures.
+	s := New(Config{ShedDelay: 5 * time.Millisecond})
 	defer s.Close()
 
 	var granted atomic64
@@ -617,32 +634,26 @@ func TestConcurrentMixedLoadStress(t *testing.T) {
 		t.Fatalf("%d high-class requests failed", otpFailures.load())
 	}
 	st := s.Stats()
-	var grantedBits uint64
-	for c := range st.GrantedBits {
-		grantedBits += st.GrantedBits[c]
-	}
-	if grantedBits > st.DepositedBits {
-		t.Fatalf("granted %d bits of %d deposited", grantedBits, st.DepositedBits)
+	if got := st.ClaimedBits + st.ReleasedBits + uint64(s.Available()); got != st.DepositedBits {
+		t.Fatalf("claimed %d + released %d + available %d != deposited %d",
+			st.ClaimedBits, st.ReleasedBits, s.Available(), st.DepositedBits)
 	}
 }
 
 func TestPoolViewTryConsumeSpansBothLanes(t *testing.T) {
-	// With a split StreamFraction the balance lives half in the ledger
-	// and half in the store; TryConsume must still honor any request
-	// the combined Available() covers — including a full drain.
-	s := New(Config{StreamFraction: 0.5})
+	// TryConsume honors any request Available() covers — including a
+	// full drain — in deposit order, and nothing past it.
+	s := New(Config{})
 	defer s.Close()
 	v := s.PoolView(ClassRekey)
-	v.Deposit(rng.NewSplitMix64(8).Bits(1024)) // 512 ledger + 512 store
+	src := rng.NewSplitMix64(8).Bits(1024)
+	v.Deposit(src.Clone())
 	if got := v.Available(); got != 1024 {
 		t.Fatalf("Available = %d", got)
 	}
-	bits, err := v.TryConsume(768) // covered only by both lanes together
+	bits, err := v.TryConsume(768)
 	if err != nil {
-		t.Fatalf("split-lane TryConsume: %v", err)
-	}
-	if bits.Len() != 768 {
-		t.Fatalf("got %d bits", bits.Len())
+		t.Fatalf("TryConsume: %v", err)
 	}
 	rest, err := v.TryConsume(v.Available())
 	if err != nil {
@@ -651,7 +662,11 @@ func TestPoolViewTryConsumeSpansBothLanes(t *testing.T) {
 	if bits.Len()+rest.Len() != 1024 || v.Available() != 0 {
 		t.Fatalf("conservation: %d + %d consumed, %d left", bits.Len(), rest.Len(), v.Available())
 	}
-	// All-or-nothing holds past the combined balance.
+	bits.AppendAll(rest)
+	if !bits.Equal(src) {
+		t.Fatal("withdrawals are not the deposit in order")
+	}
+	// All-or-nothing holds past the balance.
 	v.Deposit(rng.NewSplitMix64(9).Bits(100))
 	if _, err := v.TryConsume(101); !errors.Is(err, ErrExhausted) {
 		t.Fatalf("overdraw: %v", err)
@@ -659,9 +674,9 @@ func TestPoolViewTryConsumeSpansBothLanes(t *testing.T) {
 	if v.Available() != 100 {
 		t.Fatalf("failed overdraw consumed bits: %d left", v.Available())
 	}
-	// Blocking consumes also see the split balance immediately.
+	// A blocking consume sees the balance on hand at once.
 	if _, err := v.Consume(100, 50*time.Millisecond); err != nil {
-		t.Fatalf("split-lane Consume: %v", err)
+		t.Fatalf("Consume: %v", err)
 	}
 }
 
@@ -684,30 +699,43 @@ func TestClaimRejectsImplausibleTicket(t *testing.T) {
 }
 
 func TestConsumeBlocksAcrossSplitDeposits(t *testing.T) {
-	// A blocked split-lane Consume pre-grabs the store share and waits
-	// only for the ledger remainder, so it resolves once the combined
-	// balance covers it.
-	s := New(Config{StreamFraction: 0.5})
+	// A Consume larger than the balance waits in the scheduler and
+	// resolves once a later deposit covers the rest, with the first
+	// deposit's bits ahead of the second's.
+	s := New(Config{})
 	defer s.Close()
 	v := s.PoolView(ClassRekey)
-	v.Deposit(rng.NewSplitMix64(1).Bits(500)) // 250 ledger + 250 store
-	done := make(chan error, 1)
+	first, second := rng.NewSplitMix64(1).Bits(500), rng.NewSplitMix64(2).Bits(1500)
+	v.Deposit(first.Clone())
+	type result struct {
+		bits *bitarray.BitArray
+		err  error
+	}
+	done := make(chan result, 1)
 	go func() {
 		bits, err := v.Consume(1000, 5*time.Second)
-		if err == nil && bits.Len() != 1000 {
-			err = errors.New("short withdrawal")
-		}
-		done <- err
+		done <- result{bits, err}
 	}()
 	time.Sleep(20 * time.Millisecond)
-	v.Deposit(rng.NewSplitMix64(2).Bits(1500)) // ledger now covers the rest
+	if v.Available() != 500 {
+		t.Fatalf("blocked consume took bits early: %d left", v.Available())
+	}
+	v.Deposit(second.Clone())
 	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("split-lane blocking consume: %v", err)
+	case r := <-done:
+		if r.err != nil {
+			t.Fatalf("blocking consume: %v", r.err)
+		}
+		want := first.Clone()
+		want.AppendAll(second.Slice(0, 500))
+		if !r.bits.Equal(want) {
+			t.Fatal("blocked consume did not get the ledger in deposit order")
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("consumer stayed blocked with the balance on hand")
+	}
+	if v.Available() != 1000 {
+		t.Fatalf("Available = %d after the grant", v.Available())
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // bit-reproducible from a seed: experiment harnesses replay fault
 // schedules, chaos plans slot-partition events, workload generators
 // emit byte-identical traces, distillation carves mirrored ledgers,
-// and kms splits deposits by pure functions of cumulative state. A
+// and kms drives admission control from an injected clock. A
 // stray call to the global math/rand state or a raw wall-clock read
 // destroys replayability (and, for the mirrored ledgers, bit-exact
 // agreement between endpoints). Deterministic packages must draw

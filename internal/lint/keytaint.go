@@ -74,7 +74,6 @@ var secretMethods = map[memberKey][]int{
 	{"kms", "PoolView", "TryConsume"}:             {0},
 	{"kms", "PoolView", "Consume"}:                {0},
 	{"kms", "PoolView", "ConsumeCancelable"}:      {0},
-	{"kms", "Store", "TryConsume"}:                {0},
 	{"kms", "Stream", "Claim"}:                    {0},
 	{"kms", "Stream", "Next"}:                     {1},
 	{"kms", "Service", "Claim"}:                   {0},
@@ -112,8 +111,6 @@ var secretFields = map[memberKey]bool{
 	{"keypool", "Reservoir", "buf"}:    true,
 	{"keypool", "Reservation", "bits"}: true,
 	{"keypool", "waiter", "bits"}:      true, // hand-off buffer to blocked withdrawals
-	{"kms", "storeShard", "buf"}:       true,
-	{"kms", "Reservoir", "buf"}:        true,
 }
 
 // methodKeyOf returns the intrinsic-table key for fn.

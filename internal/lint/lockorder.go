@@ -5,13 +5,13 @@ package lint
 // analyzers cannot see.
 //
 // Every sync.Mutex/RWMutex acquisition is resolved to a lock CLASS —
-// "pkg.Type.field" for struct fields (one class per stripe array, so
-// kms.storeShard.mu covers all shards), "pkg.var" for package-level
-// locks. A structured walk of each function tracks the ordered set of
-// classes held; each acquisition while others are held records a
-// held→acquired edge. Edges propagate through FuncSummary facts, so a
-// lock taken three calls deep — in another package — still orders
-// against the caller's held set. The merged edge graph is then
+// "pkg.Type.field" for struct fields (one class per field, so every
+// element of a striped lock array shares it), "pkg.var" for
+// package-level locks. A structured walk of each function tracks the
+// ordered set of classes held; each acquisition while others are held
+// records a held→acquired edge. Edges propagate through FuncSummary
+// facts, so a lock taken three calls deep — in another package — still
+// orders against the caller's held set. The merged edge graph is then
 // checked for:
 //
 //   - AB/BA cycles (including same-class self-nesting), reported once
@@ -45,7 +45,7 @@ import (
 // operations.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc: "acquisition order among named locks (keypool, kms stripes, ipsec SAD, vpn rekeyer, " +
+	Doc: "acquisition order among named locks (keypool, kms service, ipsec SAD, vpn rekeyer, " +
 		"flow controller) must be acyclic, and no lock may be held across a channel " +
 		"operation, Wait, sleep, or blocking key withdrawal; deliberate exceptions carry " +
 		"//lint:lockorder justifications",

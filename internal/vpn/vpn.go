@@ -306,8 +306,6 @@ func New(cfg Config) (*Network, error) {
 	var qbA, otpA, qbB, otpB *kms.Stream
 	poolA, poolB := keypool.Pool(keypool.New()), keypool.Pool(keypool.New())
 	if cfg.KDS {
-		// kms defaults an unset StreamFraction to 1, so every distilled
-		// bit is addressable by ticket unless the caller says otherwise.
 		kdsA, kdsB = kms.New(cfg.KDSConfig), kms.New(cfg.KDSConfig)
 		var err error
 		mk := func(svc *kms.Service) (qb, otp *kms.Stream) {

@@ -154,11 +154,11 @@ type (
 // Key delivery service (KDS)
 // ---------------------------------------------------------------------
 
-// KDS is the sharded, QoS-aware key delivery service that sits between
-// distillation and every consumer: named key streams with synchronized
-// (stream, sequence) block tickets, class-priority FIFO scheduling with
-// adaptive admission control, a sharded bulk store, and DTN-buffered
-// multi-source aggregation. See DESIGN.md §8.
+// KDS is the QoS-aware key delivery service that sits between
+// distillation and every consumer: one synchronized ledger carved by
+// named key streams into (stream, sequence) block tickets,
+// class-priority FIFO scheduling with adaptive admission control, and
+// DTN-buffered multi-source aggregation. See DESIGN.md §8.
 type (
 	KDS       = kms.Service
 	KDSConfig = kms.Config
