@@ -52,8 +52,10 @@
 #                                   1400 B payloads (the sizes that set
 #                                   the CTR keystream crossover), and
 #                                   one SAD rollover install against
-#                                   64 / 1024 / 25,000 tunnels
-#                                   (DESIGN.md §10-11)
+#                                   64 / 1024 / 25,000 tunnels, and one
+#                                   HMAC-SHA1 tag over the 104- and
+#                                   1440-byte ESP bodies of a 64 and a
+#                                   1400 B payload (DESIGN.md §10-11)
 #   flow    -> BENCH_flow.json      closed-loop replenishment control:
 #                                   foreground credit-controller and
 #                                   LEDBAT-style background ticks on the
@@ -163,6 +165,7 @@ run_qnet_group() {
 
 run_ipsec_group() {
     run ./internal/ipsec/ 'Benchmark(Gateway_(SealAES|OpenAES|SealOpenAES|SealOTP|Parallel|SealAESBatch|OpenAESBatch|SealOTPBatch|ParallelBatch)|SAD_Rollover)$'
+    run ./internal/hmacsha1/ 'BenchmarkSum$'
     emit BENCH_ipsec.json
 }
 

@@ -30,7 +30,6 @@ package ike
 
 import (
 	"crypto/hmac"
-	"crypto/sha1"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -39,6 +38,7 @@ import (
 	"time"
 
 	"qkd/internal/channel"
+	"qkd/internal/hmacsha1"
 	"qkd/internal/ipsec"
 	"qkd/internal/keypool"
 	"qkd/internal/kms"
@@ -257,9 +257,10 @@ func (d *Daemon) logf(format string, args ...interface{}) {
 
 // prf is the IKE pseudorandom function (HMAC-SHA1).
 func prf(key, data []byte) []byte {
-	h := hmac.New(sha1.New, key)
-	h.Write(data)
-	return h.Sum(nil)
+	m := hmacsha1.New(key)
+	out := new([hmacsha1.Size]byte)
+	m.Sum(out, data)
+	return out[:]
 }
 
 // expandKeymat derives n bytes: K1 = prf(key, seed|0x01),

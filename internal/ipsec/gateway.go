@@ -565,12 +565,12 @@ func (g *Gateway) sealRun(b *Batch, pkts []*Packet, lo, hi int, pol *Policy, c *
 	sa.mu.Lock()
 	for k := lo; k < hi; k++ {
 		p := pkts[k]
-		if len(p.Payload) > maxPayload {
-			b.res[k] = BatchResult{Err: fmt.Errorf("%w: %d-byte payload, at most %d",
-				ErrTooBig, len(p.Payload), maxPayload)}
+		scratch, err := p.AppendMarshal(b.scratch[:0])
+		if err != nil {
+			b.res[k] = BatchResult{Err: err}
 			continue
 		}
-		b.scratch = p.AppendMarshal(b.scratch[:0])
+		b.scratch = scratch
 		start := len(b.arena)
 		arena, err := sa.sealAppendLocked(b.arena, b.scratch)
 		b.arena = arena

@@ -51,7 +51,11 @@ func TestPacketRoundTrip(t *testing.T) {
 		Src: MustAddr("10.0.1.2"), Dst: MustAddr("10.0.2.3"),
 		Proto: ProtoTCP, ID: 777, Payload: []byte("data"),
 	}
-	q, err := UnmarshalPacket(p.Marshal())
+	b, err := p.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := UnmarshalPacket(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,10 +66,24 @@ func TestPacketRoundTrip(t *testing.T) {
 	if _, err := UnmarshalPacket([]byte{1, 2, 3}); err == nil {
 		t.Error("short packet accepted")
 	}
-	bad := p.Marshal()
-	bad[2] = 0xFF // corrupt length
-	if _, err := UnmarshalPacket(bad); err == nil {
+	b[2] = 0xFF // corrupt length
+	if _, err := UnmarshalPacket(b); err == nil {
 		t.Error("bad length accepted")
+	}
+
+	// The codec owns the 16-bit length bound: the largest payload that
+	// fits round-trips, one byte more fails to encode.
+	p.Payload = bytes.Repeat([]byte{0x5a}, 65519)
+	b, err = p.Marshal()
+	if err != nil {
+		t.Fatalf("65,519-byte payload: %v", err)
+	}
+	if q, err = UnmarshalPacket(b); err != nil || !bytes.Equal(q.Payload, p.Payload) {
+		t.Fatalf("65,519-byte payload does not round-trip: %v", err)
+	}
+	p.Payload = append(p.Payload, 0x5a)
+	if b, err := p.Marshal(); !errors.Is(err, ErrTooBig) || b != nil {
+		t.Fatalf("65,520-byte payload: %d bytes, %v, want ErrTooBig", len(b), err)
 	}
 }
 

@@ -74,15 +74,21 @@ const headerLen = 16
 // header's 16-bit length field.
 const maxPayload = 1<<16 - 1 - headerLen
 
-// Marshal serializes the packet.
-func (p *Packet) Marshal() []byte {
+// Marshal serializes the packet. A payload too big for the header's
+// 16-bit length field fails with an error wrapping ErrTooBig.
+func (p *Packet) Marshal() ([]byte, error) {
 	return p.AppendMarshal(nil)
 }
 
 // AppendMarshal serializes the packet onto dst and returns the
 // extended slice, so a reusable scratch buffer absorbs the per-packet
-// make that Marshal would otherwise pay.
-func (p *Packet) AppendMarshal(dst []byte) []byte {
+// make that Marshal would otherwise pay. A payload too big for the
+// length field fails with an error wrapping ErrTooBig, and dst comes
+// back unextended.
+func (p *Packet) AppendMarshal(dst []byte) ([]byte, error) {
+	if len(p.Payload) > maxPayload {
+		return dst, fmt.Errorf("%w: %d-byte payload, at most %d", ErrTooBig, len(p.Payload), maxPayload)
+	}
 	start := len(dst)
 	dst = appendZeros(dst, headerLen+len(p.Payload))
 	out := dst[start:]
@@ -93,7 +99,7 @@ func (p *Packet) AppendMarshal(dst []byte) []byte {
 	copy(out[8:12], p.Dst[:])
 	binary.BigEndian.PutUint32(out[12:16], p.ID)
 	copy(out[headerLen:], p.Payload)
-	return dst
+	return dst, nil
 }
 
 // UnmarshalPacket parses a serialized packet.

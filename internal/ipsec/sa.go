@@ -4,17 +4,15 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/des"
-	"crypto/hmac"
-	"crypto/sha1"
 	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"sync"
 	"time"
 
 	"qkd/internal/gf2"
+	"qkd/internal/hmacsha1"
 )
 
 // CipherSuite selects the transform protecting an SA's traffic.
@@ -86,9 +84,9 @@ var (
 	ErrDiscard    = errors.New("ipsec: policy discards packet")
 	ErrUnknownSPI = errors.New("ipsec: unknown SPI")
 	// ErrTooBig rejects an inner packet whose total length does not
-	// fit the header's 16-bit length field. The gateway refuses it
-	// before sealing, so it spends no sequence number, byte budget or
-	// pad.
+	// fit the header's 16-bit length field. Packet.Marshal returns it,
+	// so the gateway refuses the packet before sealing, and it spends
+	// no sequence number, byte budget or pad.
 	ErrTooBig = errors.New("ipsec: packet too big for the length field")
 )
 
@@ -140,10 +138,10 @@ type SA struct {
 	bytesOpened uint64
 
 	// Cached key schedules: the AES/3DES block cipher expansion and the
-	// HMAC state are built once at construction, not per packet.
+	// HMAC pad states are built once at construction, not per packet.
 	block cipher.Block
-	mac   hash.Hash
-	icv   [sha1.Size]byte     // scratch for mac.Sum
+	mac   hmacsha1.MAC
+	icv   [hmacsha1.Size]byte // scratch for mac.Sum
 	ctr   [aes.BlockSize]byte // scratch CTR counter block (xorCTRLocked)
 
 	// Lifecycle: a rollover marks the superseded generation, which keeps
@@ -210,7 +208,7 @@ func NewSA(spi uint32, suite CipherSuite, key []byte, life Lifetime) (*SA, error
 	if err != nil {
 		return nil, fmt.Errorf("ipsec: key schedule: %w", err)
 	}
-	sa.mac = hmac.New(sha1.New, sa.authKey)
+	sa.mac = hmacsha1.New(sa.authKey)
 	return sa, nil
 }
 
@@ -442,11 +440,12 @@ func (sa *SA) sealAppendLocked(dst, payload []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// icvLocked computes the HMAC-SHA1-96 tag with the cached MAC state.
+// icvLocked computes the HMAC-SHA1-96 tag with the cached MAC. It
+// runs under sa.mu: the MAC's crypto/hmac fallback, like any hash.Hash,
+// is not safe for concurrent use, and sa.icv is shared scratch.
 func (sa *SA) icvLocked(body []byte) []byte {
-	sa.mac.Reset()
-	sa.mac.Write(body)
-	return sa.mac.Sum(sa.icv[:0])[:icvLen]
+	sa.mac.Sum(&sa.icv, body)
+	return sa.icv[:icvLen]
 }
 
 // ctrInlineMax is the largest AES payload whose CTR keystream is built
@@ -554,7 +553,7 @@ func (sa *SA) openAppendLocked(dst, blob []byte) ([]byte, error) {
 			return dst, fmt.Errorf("ipsec: ESP blob too short")
 		}
 		body := blob[:len(blob)-icvLen]
-		if !hmac.Equal(sa.icvLocked(body), blob[len(blob)-icvLen:]) {
+		if subtle.ConstantTimeCompare(sa.icvLocked(body), blob[len(blob)-icvLen:]) != 1 {
 			return dst, ErrIntegrity
 		}
 		iv := blob[8 : 8+ivLen]

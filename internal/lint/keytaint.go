@@ -76,8 +76,6 @@ var secretMethods = map[memberKey][]int{
 	{"kms", "PoolView", "ConsumeCancelable"}:      {0},
 	{"kms", "Stream", "Claim"}:                    {0},
 	{"kms", "Stream", "Next"}:                     {1},
-	{"kms", "Service", "Claim"}:                   {0},
-	{"kms", "Service", "Withdraw"}:                {0},
 	{"privacy", "Params", "Apply"}:                {0}, // distilled key output
 }
 
