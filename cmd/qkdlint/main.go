@@ -9,6 +9,8 @@
 //	go vet -vettool=$(pwd)/qkdlint ./...   # full vet pipeline, test files included
 //	qkdlint ./...                          # standalone, non-test sources
 //
+// Both modes parse and type-check each package through one loader
+// (lint.TypeCheck) against the export data the go command builds.
 // Vettool mode is auto-detected from cmd/go's calling convention
 // (-V=full / -flags handshakes, or a single *.cfg argument). Analyzer
 // selection works like the x/tools multichecker: pass -keytaint,

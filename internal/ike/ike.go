@@ -29,7 +29,7 @@
 package ike
 
 import (
-	"crypto/hmac"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -161,8 +161,12 @@ type Daemon struct {
 
 	rand *rng.SplitMix64
 
-	mu         sync.Mutex
-	skeyid     []byte
+	mu     sync.Mutex
+	skeyid []byte
+	// skeyMAC is keyed with skeyid once and tags every control
+	// message. It is used only under mu: the crypto/hmac fallback is
+	// not safe for concurrent use.
+	skeyMAC    hmacsha1.MAC
 	nextSPI    uint32
 	nextMsg    uint32
 	pending    map[uint32]chan []byte
@@ -265,13 +269,16 @@ func prf(key, data []byte) []byte {
 
 // expandKeymat derives n bytes: K1 = prf(key, seed|0x01),
 // Ki = prf(key, K(i-1)|seed|i) — the oakley_compute_keymat_x shape.
+// One MAC, keyed once, computes every block.
 func expandKeymat(key, seed []byte, n int) []byte {
-	var out []byte
-	var prev []byte
+	m := hmacsha1.New(key)
+	var out, msg []byte
+	var k [hmacsha1.Size]byte
 	for i := byte(1); len(out) < n; i++ {
-		buf := append(append(append([]byte(nil), prev...), seed...), i)
-		prev = prf(key, buf)
-		out = append(out, prev...)
+		msg = append(append(msg, seed...), i) // K(i-1)|seed|i; K0 is empty
+		m.Sum(&k, msg)
+		out = append(out, k[:]...)
+		msg = append(msg[:0], k[:]...)
 	}
 	return out[:n]
 }
@@ -320,9 +327,11 @@ func (d *Daemon) Start() error {
 }
 
 func (d *Daemon) setSkeyid(ni, nr []byte) {
+	skeyid := prf(d.psk, append(append([]byte(nil), ni...), nr...))
+	m := hmacsha1.New(skeyid)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.skeyid = prf(d.psk, append(append([]byte(nil), ni...), nr...))
+	d.skeyid, d.skeyMAC = skeyid, m
 }
 
 // Stop shuts the daemon down; in-flight negotiations fail, and any
@@ -352,10 +361,11 @@ func mapTimeout(err error) error {
 
 // tag computes the control-traffic authenticator for a message body.
 func (d *Daemon) tag(body []byte) []byte {
+	var sum [hmacsha1.Size]byte
 	d.mu.Lock()
-	key := d.skeyid
+	d.skeyMAC.Sum(&sum, body)
 	d.mu.Unlock()
-	return prf(key, body)[:12]
+	return sum[:12]
 }
 
 // sendAuthed sends body with an SKEYID tag appended.
@@ -370,7 +380,7 @@ func (d *Daemon) checkAuthed(payload []byte) ([]byte, error) {
 	}
 	body := payload[:len(payload)-12]
 	want := d.tag(body)
-	if !hmac.Equal(want, payload[len(payload)-12:]) {
+	if subtle.ConstantTimeCompare(want, payload[len(payload)-12:]) != 1 {
 		d.mu.Lock()
 		d.stats.AuthFailures++
 		d.mu.Unlock()

@@ -5,6 +5,8 @@ import (
 	"crypto/hmac"
 	"crypto/sha1"
 	"testing"
+
+	"qkd/internal/hmacsha1"
 )
 
 // refPRF is HMAC-SHA1 straight from crypto/hmac.
@@ -46,7 +48,7 @@ func TestKeyDerivationKnownAnswers(t *testing.T) {
 				t.Errorf("%d-byte key: %d-byte KEYMAT = %x, want %x", len(key), n, got, keymat[:n])
 			}
 		}
-		d := &Daemon{skeyid: key}
+		d := &Daemon{skeyMAC: hmacsha1.New(key)}
 		if got, want := d.tag(body), refPRF(key, body)[:12]; !bytes.Equal(got, want) {
 			t.Errorf("%d-byte key: control tag = %x, want %x", len(key), got, want)
 		}

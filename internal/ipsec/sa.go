@@ -131,8 +131,6 @@ type SA struct {
 	Created time.Time
 
 	mu          sync.Mutex
-	encKey      []byte
-	authKey     []byte
 	seq         uint32
 	bytesSealed uint64
 	bytesOpened uint64
@@ -187,28 +185,27 @@ func NewSA(spi uint32, suite CipherSuite, key []byte, life Lifetime) (*SA, error
 		return nil, fmt.Errorf("ipsec: unknown suite %v", suite)
 	}
 	sa := &SA{
-		SPI:     spi,
-		Suite:   suite,
-		Life:    life,
-		encKey:  append([]byte(nil), key[:encLen]...),
-		authKey: append([]byte(nil), key[encLen:]...),
-		now:     time.Now,
+		SPI:   spi,
+		Suite: suite,
+		Life:  life,
+		now:   time.Now,
 	}
 	// Stamp through the SA's own clock so a later SetClock rebase and
 	// the construction stamp agree on one time source.
 	sa.Created = sa.now()
-	// Run the key schedules once; every Seal/Open reuses them.
+	// Run the key schedules once; every Seal/Open reuses them, and
+	// the SA keeps no copy of the key.
 	var err error
 	switch suite {
 	case SuiteAES128CTR:
-		sa.block, err = aes.NewCipher(sa.encKey)
+		sa.block, err = aes.NewCipher(key[:encLen])
 	case Suite3DESCBC:
-		sa.block, err = des.NewTripleDESCipher(sa.encKey)
+		sa.block, err = des.NewTripleDESCipher(key[:encLen])
 	}
 	if err != nil {
 		return nil, fmt.Errorf("ipsec: key schedule: %w", err)
 	}
-	sa.mac = hmacsha1.New(sa.authKey)
+	sa.mac = hmacsha1.New(key[encLen:])
 	return sa, nil
 }
 

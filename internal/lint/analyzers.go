@@ -16,13 +16,3 @@ func All() []*Analyzer {
 		LockOrder,
 	}
 }
-
-// ByName resolves an analyzer by its flag/directive name.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // DetRand enforces determinism in the packages whose behavior must be
@@ -52,7 +51,8 @@ var randConstructors = map[string]bool{
 }
 
 func runDetRand(pass *Pass) error {
-	if !detRandScope[pass.PkgPath()] && !hasDeterministicDirective(pass) {
+	path := strippedPkgPath(pass.Pkg)
+	if !detRandScope[path] && !pass.IP.dirs.deterministic {
 		return nil
 	}
 	for _, f := range pass.Files {
@@ -73,7 +73,7 @@ func runDetRand(pass *Pass) error {
 				switch fn.Name() {
 				case "Now", "Since", "Until":
 					pass.Reportf(call.Pos(), "call to time.%s in deterministic package %s; read time through an injected clock (a now func() time.Time field defaulting to time.Now)",
-						fn.Name(), pass.PkgPath())
+						fn.Name(), path)
 				}
 			case "math/rand", "math/rand/v2":
 				if fn.Type().(*types.Signature).Recv() != nil {
@@ -83,23 +83,10 @@ func runDetRand(pass *Pass) error {
 					return true
 				}
 				pass.Reportf(call.Pos(), "call to global %s.%s in deterministic package %s; draw from an injected seeded *rand.Rand instead",
-					fn.Pkg().Name(), fn.Name(), pass.PkgPath())
+					fn.Pkg().Name(), fn.Name(), path)
 			}
 			return true
 		})
 	}
 	return nil
-}
-
-func hasDeterministicDirective(pass *Pass) bool {
-	for _, f := range pass.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if strings.HasPrefix(c.Text, "//lint:deterministic") {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }

@@ -20,15 +20,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
 	"io"
-	"os"
 	"os/exec"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -271,32 +265,11 @@ func goList(patterns []string) ([]listPackage, error) {
 // (analyze=true) or only computes its outgoing summaries.
 func checkPackage(p *listPackage, exports map[string]string, goVersion string, analyzers []*lint.Analyzer, deps *lint.Summaries, analyze bool) ([]lint.Finding, *lint.Summaries, error) {
 	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range p.GoFiles {
-		if !filepath.IsAbs(name) {
-			name = filepath.Join(p.Dir, name)
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			return nil, nil, err
-		}
-		files = append(files, f)
-	}
-	imp := importer.ForCompiler(fset, "gc", func(importPath string) (io.ReadCloser, error) {
+	imp := lint.ExportImporter(fset, func(importPath string) (string, bool) {
 		file, ok := exports[importPath]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", importPath)
-		}
-		return os.Open(file)
+		return file, ok
 	})
-	info := lint.NewInfo()
-	tcfg := types.Config{
-		Importer:  imp,
-		GoVersion: goVersion,
-		Sizes:     types.SizesFor("gc", runtime.GOARCH),
-		Error:     func(error) {},
-	}
-	pkg, err := tcfg.Check(p.ImportPath, fset, files, info)
+	files, pkg, info, err := lint.TypeCheck(fset, p.ImportPath, p.Dir, p.GoFiles, imp, goVersion)
 	if err != nil {
 		return nil, nil, err
 	}

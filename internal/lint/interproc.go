@@ -412,10 +412,8 @@ type IPContext struct {
 	// these dynamic calls are CHA-resolved.
 	ifaceMethods map[string]bool
 
-	// lockorderJustified marks file:line positions carrying a
-	// //lint:lockorder justification directive (the line of the
-	// directive and the line below, like //lint:ignore).
-	lockorderJustified map[string]map[int]bool
+	// dirs are the package's //lint: directives.
+	dirs *directives
 
 	// reportedCycles accumulates cycle signatures diagnosed here or in
 	// any dependency; serialized into this package's facts.
@@ -438,14 +436,14 @@ func BuildIP(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *t
 		deps = NewSummaries()
 	}
 	ip := &IPContext{
-		Fset:               fset,
-		Pkg:                pkg,
-		Info:               info,
-		Files:              files,
-		Deps:               deps,
-		Local:              make(map[string]*FuncSummary),
-		lockorderJustified: collectLockorderDirectives(fset, files),
-		reportedCycles:     make(map[string]bool),
+		Fset:           fset,
+		Pkg:            pkg,
+		Info:           info,
+		Files:          files,
+		Deps:           deps,
+		Local:          make(map[string]*FuncSummary),
+		dirs:           readDirectives(fset, files),
+		reportedCycles: make(map[string]bool),
 	}
 	for sig := range deps.ReportedCycles {
 		ip.reportedCycles[sig] = true
@@ -669,43 +667,11 @@ func extendPath(head string, rest []string) []string {
 	return out
 }
 
-// ---------------------------------------------------------------------
-// //lint:lockorder directives
-// ---------------------------------------------------------------------
-
-// collectLockorderDirectives finds `//lint:lockorder <reason>`
-// comments. Like //lint:ignore, a directive without a reason is void;
-// it covers its own line and the line below, and marks the lock
-// acquisition there as deliberately outside the global order (the
-// acquisition is excluded from nesting/cycle diagnostics and its
-// holder is excused from held-across-blocking reports).
-func collectLockorderDirectives(fset *token.FileSet, files []*ast.File) map[string]map[int]bool {
-	out := make(map[string]map[int]bool)
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				rest, ok := strings.CutPrefix(c.Text, "//lint:lockorder")
-				if !ok || strings.TrimSpace(rest) == "" {
-					continue
-				}
-				posn := fset.Position(c.Pos())
-				byLine := out[posn.Filename]
-				if byLine == nil {
-					byLine = make(map[int]bool)
-					out[posn.Filename] = byLine
-				}
-				byLine[posn.Line] = true
-				byLine[posn.Line+1] = true
-			}
-		}
-	}
-	return out
-}
-
 // lockorderJustifiedAt reports whether pos is covered by a
-// //lint:lockorder directive.
+// //lint:lockorder directive: the acquisition there is deliberately
+// outside the global order (excluded from nesting and cycle
+// diagnostics), and its holder is excused from held-across-blocking
+// reports.
 func (ip *IPContext) lockorderJustifiedAt(pos token.Pos) bool {
-	posn := ip.Fset.Position(pos)
-	byLine := ip.lockorderJustified[posn.Filename]
-	return byLine != nil && byLine[posn.Line]
+	return ip.dirs.justified(ip.Fset.Position(pos))
 }

@@ -45,9 +45,6 @@ var KeyTaint = &Analyzer{
 }
 
 func runKeyTaint(p *Pass) error {
-	if p.IP == nil {
-		return nil
-	}
 	for _, d := range p.IP.taintDiags {
 		p.Report(d)
 	}
@@ -101,8 +98,6 @@ var flowMethods = map[memberKey][]TaintFlow{
 // material into one is the sanctioned way to persist it. Writing
 // tainted data into any OTHER struct field is a diagnostic.
 var secretFields = map[memberKey]bool{
-	{"ipsec", "SA", "encKey"}:          true,
-	{"ipsec", "SA", "authKey"}:         true,
 	{"ipsec", "SA", "pad"}:             true,
 	{"ipsec", "SA", "wcKey"}:           true,
 	{"ipsec", "SA", "wcTab"}:           true,

@@ -26,9 +26,13 @@ import (
 	"fmt"
 	"go/ast"
 	"go/importer"
+	"go/parser"
 	"go/token"
 	"go/types"
-	"regexp"
+	"io"
+	"os"
+	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 )
@@ -53,10 +57,9 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// IP is the interprocedural substrate for this package (dependency
-	// summaries merged in, local summaries computed). Nil when the
-	// package was checked without dependency facts; interprocedural
-	// analyzers must then degrade to per-function behavior.
+	// IP is the interprocedural substrate for this package: dependency
+	// summaries merged in, local summaries computed, and the package's
+	// //lint: directives.
 	IP *IPContext
 
 	report func(Diagnostic)
@@ -87,16 +90,6 @@ func (p *Pass) Report(d Diagnostic) {
 	p.report(d)
 }
 
-// PkgPath returns the package's import path with any build-variant
-// suffix (e.g. "qkd/internal/kms [qkd/internal/kms.test]") stripped.
-func (p *Pass) PkgPath() string {
-	path := p.Pkg.Path()
-	if i := strings.Index(path, " ["); i >= 0 {
-		path = path[:i]
-	}
-	return path
-}
-
 // InTestFile reports whether pos lies in a _test.go file.
 func (p *Pass) InTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
@@ -121,9 +114,25 @@ func (f Finding) String() string {
 	return s
 }
 
-// NewInfo returns a fully-populated types.Info for a package check.
-func NewInfo() *types.Info {
-	return &types.Info{
+// TypeCheck is the one loader behind every driver: it parses the named
+// files (relative names resolve in dir) and type-checks them as the
+// package at path, resolving imports through imp. goVersion may be ""
+// for the toolchain default. The first parse or type error is
+// returned; type checking keeps going past it, so a single bad file
+// does not hide findings in the rest of the package.
+func TypeCheck(fset *token.FileSet, path, dir string, names []string, imp types.Importer, goVersion string) ([]*ast.File, *types.Package, *types.Info, error) {
+	var files []*ast.File
+	for _, name := range names {
+		if !filepath.IsAbs(name) {
+			name = filepath.Join(dir, name)
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
@@ -131,29 +140,26 @@ func NewInfo() *types.Info {
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-}
-
-// TypeCheck type-checks already-parsed files as the package at path,
-// resolving imports through imp. goVersion may be "" for the toolchain
-// default.
-func TypeCheck(fset *token.FileSet, path string, files []*ast.File, imp types.Importer, goVersion string) (*types.Package, *types.Info, error) {
-	info := NewInfo()
 	cfg := types.Config{
 		Importer:  imp,
 		GoVersion: goVersion,
-		// Keep going past the first error so a single bad file does not
-		// hide findings in the rest of the package.
-		Error: func(error) {},
+		Sizes:     types.SizesFor("gc", runtime.GOARCH),
+		Error:     func(error) {},
 	}
 	pkg, err := cfg.Check(path, fset, files, info)
-	return pkg, info, err
+	return files, pkg, info, err
 }
 
-// SourceImporter returns a types.Importer that type-checks stdlib
-// imports from $GOROOT source. Used by the linttest harness, where no
-// export data is on hand.
-func SourceImporter(fset *token.FileSet) types.Importer {
-	return importer.ForCompiler(fset, "source", nil)
+// ExportImporter returns an importer that reads the gc export data the
+// build left for each import path, in the file exportFile names.
+func ExportImporter(fset *token.FileSet, exportFile func(importPath string) (string, bool)) types.Importer {
+	return importer.ForCompiler(fset, "gc", func(importPath string) (io.ReadCloser, error) {
+		file, ok := exportFile(importPath)
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", importPath)
+		}
+		return os.Open(file)
+	})
 }
 
 // Summarize computes a package's outgoing interprocedural facts (its
@@ -164,21 +170,12 @@ func Summarize(fset *token.FileSet, files []*ast.File, pkg *types.Package, info 
 	return BuildIP(fset, files, pkg, info, deps).Out()
 }
 
-// Check runs the analyzers over one type-checked package and returns
-// the surviving findings (suppressions applied), sorted by position.
-// Interprocedural facts are computed from this package alone (no
-// dependency summaries); use CheckWithDeps to thread them through.
-func Check(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Finding, error) {
-	findings, _, err := CheckWithDeps(fset, files, pkg, info, analyzers, nil)
-	return findings, err
-}
-
-// CheckWithDeps runs the analyzers with the dependency closure's
-// function summaries available, and returns alongside the findings
-// this package's outgoing summaries (the closure plus its own) for
+// CheckWithDeps runs the analyzers over one type-checked package with
+// the dependency closure's function summaries available. It returns
+// the surviving findings (suppressions applied), sorted by position,
+// and this package's outgoing summaries (the closure plus its own) for
 // the caller to hand to dependent packages.
 func CheckWithDeps(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer, deps *Summaries) ([]Finding, *Summaries, error) {
-	sup := collectSuppressions(fset, files)
 	ip := BuildIP(fset, files, pkg, info, deps)
 	var findings []Finding
 	for _, a := range analyzers {
@@ -195,7 +192,7 @@ func CheckWithDeps(fset *token.FileSet, files []*ast.File, pkg *types.Package, i
 			if d.Posn != nil {
 				posn = *d.Posn
 			}
-			if sup.covers(a.Name, posn) {
+			if ip.dirs.suppressed(a.Name, posn) {
 				return
 			}
 			findings = append(findings, Finding{Analyzer: a.Name, Pos: posn, Message: d.Message, Path: d.Path})
@@ -221,56 +218,71 @@ func CheckWithDeps(fset *token.FileSet, files []*ast.File, pkg *types.Package, i
 }
 
 // ---------------------------------------------------------------------
-// Suppressions
+// Directives
 // ---------------------------------------------------------------------
 
-var ignoreRE = regexp.MustCompile(`^//lint:ignore\s+(\S+)\s+(.+)$`)
+// directives are a package's //lint: comments, read once:
+//
+//	//lint:ignore <analyzer>[,<analyzer>...] <reason>
+//	//lint:lockorder <reason>
+//	//lint:deterministic
+//
+// An ignore or lockorder directive covers findings on its own line and
+// on the line below, so it works both as a trailing comment and on a
+// line of its own; without a reason it does nothing.
+type directives struct {
+	ignore        map[dirLine][]string // analyzers suppressed there
+	lockorder     map[dirLine]bool     // lock holds justified there
+	deterministic bool                 // the package opts into detrand
+}
 
-// suppressions maps file -> line -> analyzer names suppressed there. A
-// directive covers findings on its own line and on the line below, so
-// it works both as a trailing comment and on a line of its own.
-type suppressions map[string]map[int]map[string]bool
+type dirLine struct {
+	file string
+	line int
+}
 
-func collectSuppressions(fset *token.FileSet, files []*ast.File) suppressions {
-	sup := make(suppressions)
+func readDirectives(fset *token.FileSet, files []*ast.File) *directives {
+	d := &directives{ignore: make(map[dirLine][]string), lockorder: make(map[dirLine]bool)}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				m := ignoreRE.FindStringSubmatch(c.Text)
-				if m == nil || strings.TrimSpace(m[2]) == "" {
+				text, ok := strings.CutPrefix(c.Text, "//lint:")
+				words := strings.Fields(text)
+				if !ok || len(words) == 0 {
 					continue
 				}
 				posn := fset.Position(c.Pos())
-				byLine := sup[posn.Filename]
-				if byLine == nil {
-					byLine = make(map[int]map[string]bool)
-					sup[posn.Filename] = byLine
-				}
-				names := byLine[posn.Line]
-				if names == nil {
-					names = make(map[string]bool)
-					byLine[posn.Line] = names
-				}
-				for _, name := range strings.Split(m[1], ",") {
-					names[strings.TrimSpace(name)] = true
+				at := dirLine{posn.Filename, posn.Line}
+				switch {
+				case words[0] == "ignore" && len(words) > 2:
+					d.ignore[at] = append(d.ignore[at], strings.Split(words[1], ",")...)
+				case words[0] == "lockorder" && len(words) > 1:
+					d.lockorder[at] = true
+				case words[0] == "deterministic":
+					d.deterministic = true
 				}
 			}
 		}
 	}
-	return sup
+	return d
 }
 
-func (s suppressions) covers(analyzer string, posn token.Position) bool {
-	byLine := s[posn.Filename]
-	if byLine == nil {
-		return false
-	}
+// suppressed reports whether an ignore directive covers analyzer's
+// finding at posn.
+func (d *directives) suppressed(analyzer string, posn token.Position) bool {
 	for _, line := range [2]int{posn.Line, posn.Line - 1} {
-		if names := byLine[line]; names != nil && (names[analyzer] || names["*"]) {
-			return true
+		for _, name := range d.ignore[dirLine{posn.Filename, line}] {
+			if name == analyzer || name == "*" {
+				return true
+			}
 		}
 	}
 	return false
+}
+
+// justified reports whether a lockorder directive covers posn.
+func (d *directives) justified(posn token.Position) bool {
+	return d.lockorder[dirLine{posn.Filename, posn.Line}] || d.lockorder[dirLine{posn.Filename, posn.Line - 1}]
 }
 
 // ---------------------------------------------------------------------

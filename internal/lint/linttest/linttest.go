@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
@@ -54,6 +53,18 @@ func Run(t *testing.T, analyzer *lint.Analyzer, pkgPath string) {
 		t.Fatalf("running %s on %s: %v", analyzer.Name, pkgPath, err)
 	}
 	diffWants(t, l.fset, tp.files, findings)
+}
+
+// Facts returns the cumulative interprocedural facts of the corpus
+// package testdata/src/<pkgPath> (its own summaries and its
+// corpus-local dependencies'), as a driver hands them to dependents.
+func Facts(t testing.TB, pkgPath string) *lint.Summaries {
+	t.Helper()
+	l := newLoader(filepath.Join("testdata", "src"))
+	if _, err := l.load(pkgPath); err != nil {
+		t.Fatalf("loading corpus %s: %v", pkgPath, err)
+	}
+	return l.factsFor(pkgPath, make(map[string]*lint.Summaries))
 }
 
 type want struct {
@@ -180,17 +191,7 @@ func (l *loader) load(path string) (*typedPackage, error) {
 		tp.err = fmt.Errorf("no Go files in %s", dir)
 		return tp, tp.err
 	}
-	for _, name := range names {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			tp.err = err
-			return tp, err
-		}
-		tp.files = append(tp.files, f)
-	}
-	tp.info = lint.NewInfo()
-	cfg := types.Config{Importer: l}
-	tp.pkg, tp.err = cfg.Check(path, l.fset, tp.files, tp.info)
+	tp.files, tp.pkg, tp.info, tp.err = lint.TypeCheck(l.fset, path, dir, names, l, "")
 	return tp, tp.err
 }
 

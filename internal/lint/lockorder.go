@@ -53,14 +53,10 @@ var LockOrder = &Analyzer{
 }
 
 func runLockOrder(p *Pass) error {
-	ip := p.IP
-	if ip == nil {
-		return nil
-	}
-	for _, d := range ip.lockDiags {
+	for _, d := range p.IP.lockDiags {
 		p.Report(d)
 	}
-	reportCycles(ip, p)
+	reportCycles(p.IP, p)
 	return nil
 }
 
@@ -183,7 +179,7 @@ func hasDurationParam(sig *types.Signature) bool {
 }
 
 // ---------------------------------------------------------------------
-// Held-set walker
+// The held set along the structured walk
 // ---------------------------------------------------------------------
 
 type heldLock struct {
@@ -193,217 +189,149 @@ type heldLock struct {
 	justified bool
 }
 
-type lockState struct {
+// lockFlow walks one function with the ordered list of locks held as
+// its state. Lists are never appended to in place, so paths share them
+// safely.
+type lockFlow struct {
 	ip     *IPContext
-	fi     *funcInfo
 	fs     *FuncSummary
-	held   []heldLock
 	report bool
 }
 
 // summarizeLocks folds fi's lock behavior into its FuncSummary;
 // called repeatedly by the BuildIP fixpoint.
 func summarizeLocks(ip *IPContext, fi *funcInfo) {
-	ls := &lockState{ip: ip, fi: fi, fs: ip.Local[fi.key]}
-	ls.walkStmt(fi.body)
+	walkFlow(ip.Info, &lockFlow{ip: ip, fs: ip.Local[fi.key]}, fi.body, []heldLock(nil))
 }
 
 // reportLocks re-walks fi emitting held-across-blocking diagnostics,
 // once the summaries have converged.
 func reportLocks(ip *IPContext, fi *funcInfo) {
-	ls := &lockState{ip: ip, fi: fi, fs: ip.Local[fi.key], report: true}
-	ls.walkStmt(fi.body)
+	walkFlow(ip.Info, &lockFlow{ip: ip, fs: ip.Local[fi.key], report: true}, fi.body, []heldLock(nil))
 }
 
-func (ls *lockState) walkStmt(s ast.Stmt) {
-	switch s := s.(type) {
-	case nil:
-	case *ast.BlockStmt:
-		for _, st := range s.List {
-			ls.walkStmt(st)
+func (lf *lockFlow) transfer(held []heldLock, n ast.Node, role flowRole) []heldLock {
+	switch role {
+	case flowStmt:
+		held = lf.visit(held, n, nil)
+		if send, ok := n.(*ast.SendStmt); ok {
+			lf.blocking(held, "channel send", send.Pos(), nil)
 		}
-	case *ast.ExprStmt:
-		ls.walkExpr(s.X)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			ls.walkExpr(e)
+	case flowComm:
+		// The select blocks, not its comm: the comm's own send or
+		// receive is not a blocking operation; the calls in it are.
+		var recv ast.Node
+		switch c := n.(type) {
+		case *ast.ExprStmt:
+			recv = unparen(c.X)
+		case *ast.AssignStmt:
+			recv = unparen(c.Rhs[0])
 		}
-		for _, e := range s.Lhs {
-			ls.walkExpr(e)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						ls.walkExpr(v)
-					}
-				}
-			}
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			ls.walkExpr(e)
-		}
-	case *ast.IfStmt:
-		ls.walkStmt(s.Init)
-		ls.walkExpr(s.Cond)
-		saved := ls.snapshot()
-		ls.walkStmt(s.Body)
-		ls.restore(saved)
-		ls.walkStmt(s.Else)
-		ls.restore(saved)
-	case *ast.ForStmt:
-		ls.walkStmt(s.Init)
-		ls.walkExpr(s.Cond)
-		saved := ls.snapshot()
-		ls.walkStmt(s.Body)
-		ls.walkStmt(s.Post)
-		ls.restore(saved)
-	case *ast.RangeStmt:
-		ls.walkExpr(s.X)
-		if t, ok := ls.ip.Info.Types[s.X]; ok {
+		held = lf.visit(held, n, recv)
+	case flowCond, flowResult:
+		held = lf.visit(held, n, nil)
+	case flowRange:
+		held = lf.visit(held, n, nil)
+		if t, ok := lf.ip.Info.Types[n.(ast.Expr)]; ok {
 			if _, isChan := t.Type.Underlying().(*types.Chan); isChan {
-				ls.blocking("range over channel", s.Pos(), nil)
+				lf.blocking(held, "range over channel", n.Pos(), nil)
 			}
 		}
-		saved := ls.snapshot()
-		ls.walkStmt(s.Body)
-		ls.restore(saved)
-	case *ast.SwitchStmt:
-		ls.walkStmt(s.Init)
-		ls.walkExpr(s.Tag)
-		ls.walkCases(s.Body)
-	case *ast.TypeSwitchStmt:
-		ls.walkStmt(s.Init)
-		ls.walkCases(s.Body)
-	case *ast.SelectStmt:
-		hasDefault := false
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
+	case flowSelect:
+		for _, c := range n.(*ast.SelectStmt).Body.List {
+			if c.(*ast.CommClause).Comm == nil {
+				return held // a default makes the select non-blocking
 			}
 		}
-		if !hasDefault {
-			ls.blocking("select", s.Pos(), nil)
-		}
-		for _, c := range s.Body.List {
-			cc, ok := c.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			saved := ls.snapshot()
-			for _, st := range cc.Body {
-				ls.walkStmt(st)
-			}
-			ls.restore(saved)
-		}
-	case *ast.SendStmt:
-		ls.walkExpr(s.Value)
-		ls.blocking("channel send", s.Pos(), nil)
-	case *ast.LabeledStmt:
-		ls.walkStmt(s.Stmt)
-	case *ast.GoStmt:
-		// The spawned body runs concurrently, not under the current
-		// held set; its literal is summarized as its own function.
-	case *ast.DeferStmt:
-		// `defer mu.Unlock()` keeps mu held for the rest of the body,
-		// which is exactly how the walker models "no pop". Other
-		// deferred work runs after the body; skip it.
+		lf.blocking(held, "select", n.Pos(), nil)
+	case flowGo, flowDefer:
+		// A go statement's call runs concurrently, not under this held
+		// set (a literal is summarized as its own function). Deferred
+		// work runs after the body, and a deferred Unlock keeps its lock
+		// held for the rest of it, which is what not popping it models.
 	}
+	return held
 }
 
-func (ls *lockState) walkCases(body *ast.BlockStmt) {
-	for _, c := range body.List {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
+// join keeps the locks held on both paths, in the first path's order.
+func (lf *lockFlow) join(_ ast.Stmt, a, b []heldLock) []heldLock {
+	var both []heldLock
+	taken := make([]bool, len(b))
+	for _, h := range a {
+		for i, g := range b {
+			if !taken[i] && g.class == h.class {
+				taken[i] = true
+				both = append(both, h)
+				break
+			}
 		}
-		for _, e := range cc.List {
-			ls.walkExpr(e)
-		}
-		saved := ls.snapshot()
-		for _, st := range cc.Body {
-			ls.walkStmt(st)
-		}
-		ls.restore(saved)
 	}
+	return both
 }
 
-func (ls *lockState) snapshot() []heldLock {
-	return append([]heldLock(nil), ls.held...)
-}
-
-func (ls *lockState) restore(saved []heldLock) {
-	ls.held = append(ls.held[:0], saved...)
-}
-
-// walkExpr scans an expression for calls and channel receives,
-// without crossing into function literals (separate funcInfos).
-func (ls *lockState) walkExpr(e ast.Expr) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
+// visit scans n for calls and channel receives, without crossing into
+// function literals (separate funcInfos). A receive that is recv does
+// not block.
+func (lf *lockFlow) visit(held []heldLock, n, recv ast.Node) []heldLock {
+	ast.Inspect(n, func(m ast.Node) bool {
+		switch m := m.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
-			ls.handleCall(n)
+			held = lf.call(held, m)
 		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				ls.blocking("channel receive", n.Pos(), nil)
+			if m.Op == token.ARROW && m != recv {
+				lf.blocking(held, "channel receive", m.Pos(), nil)
 			}
 		}
 		return true
 	})
+	return held
 }
 
-func (ls *lockState) handleCall(call *ast.CallExpr) {
-	if class, op, ok := ls.ip.lockOpOf(call); ok {
-		ls.lockOp(call, class, op)
-		return
+func (lf *lockFlow) call(held []heldLock, call *ast.CallExpr) []heldLock {
+	if class, op, ok := lf.ip.lockOpOf(call); ok {
+		return lf.lockOp(held, call, class, op)
 	}
-	fn := calleeFunc(ls.ip.Info, call)
+	fn := calleeFunc(lf.ip.Info, call)
 	if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync" {
-		switch {
-		case fn.Name() == "Wait" && recvNamed(fn) == "WaitGroup":
-			ls.blocking("WaitGroup.Wait", call.Pos(), nil)
-		case fn.Name() == "Wait" && recvNamed(fn) == "Cond":
-			// Cond.Wait releases its lock while parked; exempt.
+		// Cond.Wait releases its lock while parked; exempt.
+		if fn.Name() == "Wait" && recvNamed(fn) == "WaitGroup" {
+			lf.blocking(held, "WaitGroup.Wait", call.Pos(), nil)
 		}
-		return
+		return held
 	}
 	if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "time" && fn.Name() == "Sleep" {
-		ls.blocking("time.Sleep", call.Pos(), nil)
-		return
+		lf.blocking(held, "time.Sleep", call.Pos(), nil)
+		return held
 	}
 	if op := blockingWithdrawal(fn); op != "" {
-		ls.blocking(op, call.Pos(), nil)
+		lf.blocking(held, op, call.Pos(), nil)
 		// Fall through: its summary may also carry acquires.
 	}
-	justifiedHere := ls.ip.lockorderJustifiedAt(call.Pos())
-	for _, sum := range ls.ip.resolveCall(call) {
-		frame := ls.ip.frame(sum.Name, call.Pos())
+	justifiedHere := lf.ip.lockorderJustifiedAt(call.Pos())
+	for _, sum := range lf.ip.resolveCall(call) {
+		frame := lf.ip.frame(sum.Name, call.Pos())
 		for _, acq := range sum.Acquires {
-			ls.fs.addAcquire(acq.Lock, extendPath(frame, acq.Path))
-			for _, h := range ls.held {
+			lf.fs.addAcquire(acq.Lock, extendPath(frame, acq.Path))
+			for _, h := range held {
 				// h.class == acq.Lock is kept: holding A while a callee
 				// locks A is the self-deadlock only the caller can see.
-				ls.fs.addEdge(LockEdge{
+				lf.fs.addEdge(LockEdge{
 					From:      h.class,
 					To:        acq.Lock,
-					Pos:       ls.posString(call.Pos()),
+					Pos:       lf.posString(call.Pos()),
 					Path:      extendPath(frame, acq.Path),
 					Justified: h.justified || justifiedHere,
 				})
 			}
 		}
 		for _, b := range sum.Blocks {
-			ls.fs.addBlock(b.Op, extendPath(frame, b.Path))
-			ls.blocking(b.Op, call.Pos(), extendPath(frame, b.Path))
+			lf.fs.addBlock(b.Op, extendPath(frame, b.Path))
+			lf.blocking(held, b.Op, call.Pos(), extendPath(frame, b.Path))
 		}
 	}
+	return held
 }
 
 func recvNamed(fn *types.Func) string {
@@ -413,62 +341,62 @@ func recvNamed(fn *types.Func) string {
 	return ""
 }
 
-func (ls *lockState) lockOp(call *ast.CallExpr, class, op string) {
+func (lf *lockFlow) lockOp(held []heldLock, call *ast.CallExpr, class, op string) []heldLock {
 	if class == "" {
-		return
+		return held
 	}
 	switch op {
 	case "Lock", "RLock":
-		justified := ls.ip.lockorderJustifiedAt(call.Pos())
-		ls.fs.addAcquire(class, []string{ls.ip.frame(class+"."+op, call.Pos())})
-		for _, h := range ls.held {
+		justified := lf.ip.lockorderJustifiedAt(call.Pos())
+		lf.fs.addAcquire(class, []string{lf.ip.frame(class+"."+op, call.Pos())})
+		for _, h := range held {
 			if h.class == class && h.shared && op == "RLock" {
 				continue // shared re-acquisition cannot self-deadlock alone
 			}
-			ls.fs.addEdge(LockEdge{
+			lf.fs.addEdge(LockEdge{
 				From:      h.class,
 				To:        class,
-				Pos:       ls.posString(call.Pos()),
+				Pos:       lf.posString(call.Pos()),
 				Justified: h.justified || justified,
 			})
 		}
-		ls.held = append(ls.held, heldLock{class: class, pos: call.Pos(), shared: op == "RLock", justified: justified})
+		return append(held[:len(held):len(held)], heldLock{class: class, pos: call.Pos(), shared: op == "RLock", justified: justified})
 	case "Unlock", "RUnlock":
-		for i := len(ls.held) - 1; i >= 0; i-- {
-			if ls.held[i].class == class {
-				ls.held = append(ls.held[:i], ls.held[i+1:]...)
-				break
+		for i := len(held) - 1; i >= 0; i-- {
+			if held[i].class == class {
+				return append(held[:i:i], held[i+1:]...)
 			}
 		}
 	}
+	return held
 }
 
 // blocking handles one blocking operation at pos: the function is
 // recorded as blocking, and in report mode any lock held here is a
 // diagnostic (unless the hold or the site carries a justification).
-func (ls *lockState) blocking(op string, pos token.Pos, path []string) {
+func (lf *lockFlow) blocking(held []heldLock, op string, pos token.Pos, path []string) {
 	ownPath := path
 	if ownPath == nil {
-		ownPath = []string{ls.ip.frame(op, pos)}
+		ownPath = []string{lf.ip.frame(op, pos)}
 	}
-	ls.fs.addBlock(op, ownPath)
-	if !ls.report || len(ls.held) == 0 || ls.ip.lockorderJustifiedAt(pos) {
+	lf.fs.addBlock(op, ownPath)
+	if !lf.report || len(held) == 0 || lf.ip.lockorderJustifiedAt(pos) {
 		return
 	}
-	for _, h := range ls.held {
+	for _, h := range held {
 		if h.justified {
 			continue
 		}
-		ls.ip.addLockDiag(Diagnostic{
+		lf.ip.addLockDiag(Diagnostic{
 			Pos:     pos,
 			Message: fmt.Sprintf("%s held across %s", h.class, op),
-			Path:    append([]string{"acquired: " + ls.ip.frame(h.class, h.pos)}, path...),
+			Path:    append([]string{"acquired: " + lf.ip.frame(h.class, h.pos)}, path...),
 		})
 	}
 }
 
-func (ls *lockState) posString(pos token.Pos) string {
-	posn := ls.ip.Fset.Position(pos)
+func (lf *lockFlow) posString(pos token.Pos) string {
+	posn := lf.ip.Fset.Position(pos)
 	return fmt.Sprintf("%s:%d", filepath.Base(posn.Filename), posn.Line)
 }
 

@@ -3,20 +3,21 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 )
 
 // PadReuse flags the pad-hygiene violations behind the paper's
 // one-time-pad security argument: key material must be consumed
 // exactly once and must not gain long-lived aliases after it is spent.
-// Three shapes are checked, all within one function and between
-// sibling statements (so exclusive if/else branches never false-
-// positive):
+// Three shapes are checked, each within one function. Rules 1 and 3
+// follow the structured walk as must-facts: a reservation is voided, or
+// a pad wiped, past a join only if it is on every path that reaches
+// the join, so exclusive if/else branches never false-positive:
 //
-//  1. pad re-burn: calling Consume on a reservation after an
-//     unconditional Release or Close voided it — the historical PR 4
-//     relay bug shape, where a failed delivery burned pad that was
-//     already refunded;
+//  1. pad re-burn: calling Consume on a reservation after a Release or
+//     Close voided it — the historical relay bug shape, where a failed
+//     delivery burned pad that was already refunded;
 //  2. retained alias: a []byte of key material obtained from a
 //     keypool/kms consume-style call is stored into a field, global,
 //     slice, or map without a copy — the spent pad now has an owner
@@ -53,11 +54,12 @@ func runPadReuse(pass *Pass) error {
 				body = fn.Body
 			case *ast.FuncLit:
 				body = fn.Body
-			default:
-				return true
 			}
 			if body != nil {
-				checkPadFunc(pass, body)
+				walkFlow(pass.TypesInfo, padFlow{pass}, body, []padFact(nil))
+				if pads := collectPadVars(pass, body); len(pads) > 0 {
+					checkRetainedAliases(pass, body, pads)
+				}
 			}
 			return true
 		})
@@ -65,44 +67,96 @@ func runPadReuse(pass *Pass) error {
 	return nil
 }
 
-func checkPadFunc(pass *Pass, body *ast.BlockStmt) {
-	padVars := collectPadVars(pass, body)
-	forEachStmtList(body, func(stmts []ast.Stmt) {
-		checkReburn(pass, stmts)
-		checkWipe(pass, stmts)
-	})
-	if len(padVars) > 0 {
-		checkRetainedAliases(pass, body, padVars)
-	}
+// ---------------------------------------------------------------------
+// Rules 1 and 3 along the structured walk
+// ---------------------------------------------------------------------
+
+// A padFact records a reservation voided by Release or Close, or a pad
+// wiped, at line.
+type padFact struct {
+	obj   types.Object
+	line  int
+	wiped bool
 }
 
-// forEachStmtList visits every statement list in the function: block
-// bodies and case/comm clause bodies. Nested function literals get
-// their own checkPadFunc invocation, so they are skipped here.
-func forEachStmtList(body *ast.BlockStmt, fn func([]ast.Stmt)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.BlockStmt:
-			fn(n.List)
-		case *ast.CaseClause:
-			fn(n.Body)
-		case *ast.CommClause:
-			fn(n.Body)
+// padFlow walks one function with the facts that hold on every path
+// as its state. Fact lists are never appended to in place.
+type padFlow struct{ pass *Pass }
+
+func (p padFlow) transfer(facts []padFact, n ast.Node, role flowRole) []padFact {
+	switch role {
+	case flowStmt, flowComm:
+		p.reburns(facts, n)
+		// A reassignment starts a fresh reservation or pad, before the
+		// statement's own reads are judged (pad = freshPad() is not a
+		// read of the wiped pad).
+		if as, ok := n.(*ast.AssignStmt); ok {
+			for _, l := range as.Lhs {
+				if id, ok := unparen(l).(*ast.Ident); ok {
+					facts = slices.DeleteFunc(slices.Clone(facts), func(f padFact) bool {
+						return f.obj == p.pass.TypesInfo.Uses[id] || f.obj == p.pass.TypesInfo.Defs[id]
+					})
+				}
+			}
 		}
-		return true
-	})
+		p.wipedReads(facts, n)
+		if obj := voidCall(p.pass, n); obj != nil {
+			facts = addPadFact(facts, padFact{obj, p.line(n), false})
+		}
+		if obj := wipeCall(p.pass, n); obj != nil {
+			facts = addPadFact(facts, padFact{obj, p.line(n), true})
+		}
+	case flowCond, flowRange, flowResult, flowGo, flowDefer:
+		p.reburns(facts, n)
+		p.wipedReads(facts, n)
+	}
+	return facts
+}
+
+// join keeps the facts that hold on both paths.
+func (padFlow) join(_ ast.Stmt, a, b []padFact) []padFact {
+	var both []padFact
+	for _, f := range a {
+		if slices.ContainsFunc(b, func(g padFact) bool { return g.obj == f.obj }) {
+			both = append(both, f)
+		}
+	}
+	return both
+}
+
+// addPadFact records f unless its variable already has a fact: the
+// first void or wipe on a path is the one reported.
+func addPadFact(facts []padFact, f padFact) []padFact {
+	if slices.ContainsFunc(facts, func(g padFact) bool { return g.obj == f.obj }) {
+		return facts
+	}
+	return append(facts[:len(facts):len(facts)], f)
+}
+
+func (p padFlow) line(n ast.Node) int {
+	return p.pass.Fset.Position(n.Pos()).Line
+}
+
+// fact returns the fact recorded for the variable id uses, if any.
+func (p padFlow) fact(facts []padFact, id *ast.Ident) (padFact, bool) {
+	if obj := p.pass.TypesInfo.Uses[id]; obj != nil {
+		for _, f := range facts {
+			if f.obj == obj {
+				return f, true
+			}
+		}
+	}
+	return padFact{}, false
 }
 
 // ---------------------------------------------------------------------
-// Rule 1: Consume after an unconditional Release/Close (pad re-burn)
+// Rule 1: Consume after Release/Close (pad re-burn)
 // ---------------------------------------------------------------------
 
 // voidCall matches `rv.Release()` / `rv.Close()` where rv has a
 // reservation type, returning the receiver's object.
-func voidCall(pass *Pass, s ast.Stmt) types.Object {
-	es, ok := s.(*ast.ExprStmt)
+func voidCall(pass *Pass, n ast.Node) types.Object {
+	es, ok := n.(*ast.ExprStmt)
 	if !ok {
 		return nil
 	}
@@ -125,55 +179,30 @@ func voidCall(pass *Pass, s ast.Stmt) types.Object {
 	return obj
 }
 
-// checkReburn flags rv.Consume(...) in a statement after an earlier
-// sibling statement that was an unconditional rv.Release()/rv.Close().
-func checkReburn(pass *Pass, stmts []ast.Stmt) {
-	voided := make(map[types.Object]int) // obj -> index of the voiding stmt
-	for i, s := range stmts {
-		if len(voided) > 0 {
-			scanNoFuncLit(s, func(n ast.Node) {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return
-				}
-				sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-				if !ok || sel.Sel.Name != "Consume" {
-					return
-				}
-				id, ok := unparen(sel.X).(*ast.Ident)
-				if !ok {
-					return
-				}
-				obj := pass.TypesInfo.Uses[id]
-				if obj == nil {
-					return
-				}
-				if vi, ok := voided[obj]; ok {
-					pass.Reportf(call.Pos(), "pad re-burn: %s.Consume after %s voided the reservation at line %d; the set-aside key was already refunded or discarded",
-						id.Name, id.Name, pass.Fset.Position(stmts[vi].Pos()).Line)
-				}
-			})
-			// A reassignment of a voided variable starts a fresh
-			// reservation; stop tracking it.
-			if as, ok := s.(*ast.AssignStmt); ok {
-				for _, l := range as.Lhs {
-					if id, ok := unparen(l).(*ast.Ident); ok {
-						if obj := pass.TypesInfo.Uses[id]; obj != nil {
-							delete(voided, obj)
-						}
-						if obj := pass.TypesInfo.Defs[id]; obj != nil {
-							delete(voided, obj)
-						}
-					}
-				}
-			}
-		}
-		if obj := voidCall(pass, s); obj != nil {
-			if _, seen := voided[obj]; !seen {
-				voided[obj] = i
-			}
-		}
+// reburns flags rv.Consume(...) in n where rv was voided on every path
+// to n.
+func (p padFlow) reburns(facts []padFact, n ast.Node) {
+	if len(facts) == 0 {
+		return
 	}
+	scanNoFuncLit(n, func(m ast.Node) {
+		call, ok := m.(*ast.CallExpr)
+		if !ok {
+			return
+		}
+		sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != "Consume" {
+			return
+		}
+		id, ok := unparen(sel.X).(*ast.Ident)
+		if !ok {
+			return
+		}
+		if f, ok := p.fact(facts, id); ok && !f.wiped {
+			p.pass.Reportf(call.Pos(), "pad re-burn: %s.Consume after %s voided the reservation at line %d; the set-aside key was already refunded or discarded",
+				id.Name, id.Name, f.line)
+		}
+	})
 }
 
 // ---------------------------------------------------------------------
@@ -307,16 +336,16 @@ func checkRetainedAliases(pass *Pass, body *ast.BlockStmt, pads map[types.Object
 // Rule 3: reads of a wiped pad
 // ---------------------------------------------------------------------
 
-// wipeCall matches an unconditional statement `clear(pad)` or
+// wipeCall matches a statement `clear(pad)` or
 // `zeroX(pad)`/`wipeX(pad)`/`scrub(pad)`, returning the wiped object.
-func wipeCall(pass *Pass, s ast.Stmt) (types.Object, string) {
-	es, ok := s.(*ast.ExprStmt)
+func wipeCall(pass *Pass, n ast.Node) types.Object {
+	es, ok := n.(*ast.ExprStmt)
 	if !ok {
-		return nil, ""
+		return nil
 	}
 	call, ok := unparen(es.X).(*ast.CallExpr)
 	if !ok || len(call.Args) == 0 {
-		return nil, ""
+		return nil
 	}
 	var name string
 	switch fun := unparen(call.Fun).(type) {
@@ -324,88 +353,54 @@ func wipeCall(pass *Pass, s ast.Stmt) (types.Object, string) {
 		name = fun.Name
 		if name == "clear" {
 			if _, isBuiltin := pass.TypesInfo.Uses[fun].(*types.Builtin); !isBuiltin {
-				return nil, ""
+				return nil
 			}
 		}
 	case *ast.SelectorExpr:
 		name = fun.Sel.Name
 	default:
-		return nil, ""
+		return nil
 	}
 	lower := strings.ToLower(name)
 	if name != "clear" && !strings.Contains(lower, "zero") && !strings.Contains(lower, "wipe") && !strings.Contains(lower, "scrub") {
-		return nil, ""
+		return nil
 	}
 	id, ok := unparen(call.Args[0]).(*ast.Ident)
 	if !ok {
-		return nil, ""
+		return nil
 	}
 	obj := pass.TypesInfo.Uses[id]
 	if obj == nil || !isByteSlice(obj.Type()) {
-		return nil, ""
+		return nil
 	}
-	return obj, name
+	return obj
 }
 
-// checkWipe flags reads of a pad in statements after an unconditional
-// sibling wipe, until the variable is reassigned.
-func checkWipe(pass *Pass, stmts []ast.Stmt) {
-	wiped := make(map[types.Object]int)
-	for _, s := range stmts {
-		if len(wiped) > 0 {
-			// Reassignment revives the variable before its uses in this
-			// statement are judged (pad = freshPad() is not a read).
-			reassigned := map[types.Object]bool{}
-			if as, ok := s.(*ast.AssignStmt); ok {
-				for _, l := range as.Lhs {
-					if id, ok := unparen(l).(*ast.Ident); ok {
-						if obj := pass.TypesInfo.Uses[id]; obj != nil && wiped[obj] > 0 {
-							reassigned[obj] = true
-						}
-					}
-				}
-			}
-			scanNoFuncLit(s, func(n ast.Node) {
-				id, ok := n.(*ast.Ident)
-				if !ok {
-					return
-				}
-				obj := pass.TypesInfo.Uses[id]
-				if obj == nil || reassigned[obj] {
-					return
-				}
-				if line, ok := wiped[obj]; ok && line > 0 {
-					if as, isAssign := s.(*ast.AssignStmt); isAssign {
-						for _, l := range as.Lhs {
-							if unparen(l) == ast.Expr(id) {
-								return
-							}
-						}
-					}
-					pass.Reportf(id.Pos(), "use of %s after it was wiped at line %d; the zeroed buffer is no longer key material", id.Name, line)
-				}
-			})
-			for obj := range reassigned {
-				delete(wiped, obj)
-			}
-		}
-		if obj, _ := wipeCall(pass, s); obj != nil {
-			if _, seen := wiped[obj]; !seen {
-				wiped[obj] = pass.Fset.Position(s.Pos()).Line
-			}
-		}
+// wipedReads flags reads in n of a pad wiped on every path to n.
+func (p padFlow) wipedReads(facts []padFact, n ast.Node) {
+	if len(facts) == 0 {
+		return
 	}
+	scanNoFuncLit(n, func(m ast.Node) {
+		id, ok := m.(*ast.Ident)
+		if !ok {
+			return
+		}
+		if f, ok := p.fact(facts, id); ok && f.wiped {
+			p.pass.Reportf(id.Pos(), "use of %s after it was wiped at line %d; the zeroed buffer is no longer key material", id.Name, f.line)
+		}
+	})
 }
 
-// scanNoFuncLit walks a statement's subtree, skipping nested function
-// literals (their execution time is unknown).
-func scanNoFuncLit(s ast.Stmt, fn func(ast.Node)) {
-	ast.Inspect(s, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
+// scanNoFuncLit walks n's subtree, skipping nested function literals
+// (their execution time is unknown).
+func scanNoFuncLit(n ast.Node, fn func(ast.Node)) {
+	ast.Inspect(n, func(m ast.Node) bool {
+		if _, ok := m.(*ast.FuncLit); ok {
 			return false
 		}
-		if n != nil {
-			fn(n)
+		if m != nil {
+			fn(m)
 		}
 		return true
 	})

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // ReservePair proves (in the lostcancel style) that every
@@ -14,10 +15,9 @@ import (
 // bits forever — exactly the leak PR 4 fixed in relay (Cut'd links
 // left transports blocked on pads nobody would ever refund).
 //
-// The analysis walks structured control flow (blocks, if/else, for,
-// switch, select) from the Reserve call, tracking whether the
-// reservation is still pending when a return or the end of its scope
-// is reached. It is deliberately conservative about aliasing: any use
+// The analysis runs on the shared structured walk (flow.go) over the
+// enclosing function, tracking whether the reservation is still
+// pending when a return or the end of its scope is reached. It is deliberately conservative about aliasing: any use
 // other than a method call — passing the reservation to a function,
 // appending it to a slice, returning it, storing it, capturing it in a
 // closure — transfers ownership and ends the obligation locally.
@@ -61,7 +61,7 @@ func runReservePair(pass *Pass) error {
 		WalkStack(f, func(n ast.Node, stack []ast.Node) bool {
 			switch s := n.(type) {
 			case *ast.AssignStmt:
-				checkReserveAssign(pass, s, s.Lhs, s.Rhs, stack)
+				checkReserve(pass, s, s.Lhs, s.Rhs, stack)
 			case *ast.DeclStmt:
 				if gd, ok := s.Decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
 					for _, spec := range gd.Specs {
@@ -70,7 +70,7 @@ func runReservePair(pass *Pass) error {
 							for i, name := range vs.Names {
 								lhs[i] = name
 							}
-							checkReserveDecl(pass, s, lhs, vs.Values, stack)
+							checkReserve(pass, s, lhs, vs.Values, stack)
 						}
 					}
 				}
@@ -87,12 +87,9 @@ func runReservePair(pass *Pass) error {
 	return nil
 }
 
-// checkReserveAssign handles `rv, err := pool.Reserve(n)` and plain `=`.
-func checkReserveAssign(pass *Pass, stmt ast.Stmt, lhs, rhs []ast.Expr, stack []ast.Node) {
-	checkReserveDecl(pass, stmt, lhs, rhs, stack)
-}
-
-func checkReserveDecl(pass *Pass, stmt ast.Stmt, lhs, rhs []ast.Expr, stack []ast.Node) {
+// checkReserve handles `rv, err := pool.Reserve(n)`, plain `=`, and
+// `var rv, err = pool.Reserve(n)`; stack holds stmt's ancestors.
+func checkReserve(pass *Pass, stmt ast.Stmt, lhs, rhs []ast.Expr, stack []ast.Node) {
 	// Creation means the right-hand side is a call producing a
 	// reservation; aliasing assignments (rv2 := rv) are not creations.
 	resultOfCall := func(i int) *ast.CallExpr {
@@ -130,20 +127,26 @@ func checkReserveDecl(pass *Pass, stmt ast.Stmt, lhs, rhs []ast.Expr, stack []as
 		if obj == nil {
 			continue
 		}
-		errObj := companionErrObj(pass, lhs, i)
 		body := enclosingFuncBody(stack)
 		if body == nil || containsGoto(body) {
 			continue
 		}
-		flow := &resvFlow{
+		f := &resvFlow{
 			pass:    pass,
 			obj:     obj,
-			errObj:  errObj,
+			errObj:  companionErrObj(pass, lhs, i),
 			decl:    stmt,
+			scope:   stack[len(stack)-1],
 			callPos: call.Pos(),
 			name:    id.Name,
 		}
-		flow.run(body)
+		ast.Inspect(body, func(n ast.Node) bool {
+			if ifs, ok := n.(*ast.IfStmt); ok && f.usesGuard(ifs.Cond) {
+				f.guards = append(f.guards, ifs)
+			}
+			return true
+		})
+		walkFlow(pass.TypesInfo, f, body, resvState{})
 	}
 }
 
@@ -249,7 +252,7 @@ func containsGoto(body *ast.BlockStmt) bool {
 }
 
 // ---------------------------------------------------------------------
-// Structured-control-flow walk
+// The reservation's obligation along the structured walk
 // ---------------------------------------------------------------------
 
 type resvState struct {
@@ -262,289 +265,100 @@ type resvFlow struct {
 	obj     types.Object // the reservation variable
 	errObj  types.Object // its companion error, if any
 	decl    ast.Stmt     // the creating statement
+	scope   ast.Node     // the block or clause holding decl, if decl is in its list
 	callPos token.Pos    // position of the Reserve call (report anchor)
 	name    string
 
-	reported   bool
-	guardDepth int // inside a branch conditioned on the reservation or its error
+	// guards are the ifs conditioned on the reservation or its error.
+	// On one side of each the reservation is nil: neither side reports,
+	// and their paths meet optimistically, or every
+	// `if err != nil { return err }` would be flagged.
+	guards   []*ast.IfStmt
+	reported bool
 }
 
-func (f *resvFlow) run(body *ast.BlockStmt) {
-	out, diverged := f.execList(body.List, resvState{})
-	_ = out
-	_ = diverged // scope-end reporting happens inside execList
-}
-
-func (f *resvFlow) report(leakPos token.Pos, what string) {
-	if f.reported {
-		return
-	}
-	f.reported = true
-	leak := f.pass.Fset.Position(leakPos)
-	f.pass.Reportf(f.callPos, "reservation %s does not reach Consume, Release, or Close on the path %s at %s:%d; the set-aside key bits leak",
-		f.name, what, leak.Filename, leak.Line)
-}
-
-// execList executes a statement list. If the list directly contains
-// the creating statement, falling off its end while pending is a leak
-// (the variable's scope dies with the obligation unmet).
-func (f *resvFlow) execList(stmts []ast.Stmt, in resvState) (resvState, bool) {
-	st := in
-	containsDecl := false
-	for _, s := range stmts {
-		if s == f.decl {
-			containsDecl = true
+func (f *resvFlow) transfer(s resvState, n ast.Node, role flowRole) resvState {
+	switch role {
+	case flowStmt, flowComm:
+		if n == f.decl {
+			return resvState{pending: true, deferred: s.deferred}
 		}
-	}
-	for _, s := range stmts {
-		var diverged bool
-		st, diverged = f.exec(s, st)
-		if diverged || f.reported {
-			return st, diverged
+		if as, ok := n.(*ast.AssignStmt); ok {
+			return f.assign(s, as)
 		}
-	}
-	if containsDecl && st.pending && !st.deferred && f.guardDepth == 0 {
-		end := f.decl.End()
-		if n := len(stmts); n > 0 {
-			end = stmts[len(stmts)-1].End()
-		}
-		f.report(end, "falling off the end of its scope")
-	}
-	return st, false
-}
-
-func (f *resvFlow) exec(s ast.Stmt, in resvState) (resvState, bool) {
-	if s == nil {
-		return in, false
-	}
-	if s == f.decl {
-		return resvState{pending: true, deferred: in.deferred}, false
-	}
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		return f.execList(s.List, in)
-
-	case *ast.IfStmt:
-		st, div := f.exec(s.Init, in)
-		if div {
-			return st, true
-		}
-		st = f.scan(st, s.Cond, false)
-		guard := f.usesGuard(s.Cond)
-		if guard {
-			f.guardDepth++
-		}
-		thenOut, thenDiv := f.exec(s.Body, st)
-		elseOut, elseDiv := st, false
-		if s.Else != nil {
-			elseOut, elseDiv = f.exec(s.Else, st)
-		}
-		if guard {
-			f.guardDepth--
-		}
-		return mergeBranches(guard, []branchOut{{thenOut, thenDiv}, {elseOut, elseDiv}})
-
-	case *ast.ForStmt:
-		st, div := f.exec(s.Init, in)
-		if div {
-			return st, true
-		}
-		st = f.scan(st, s.Cond, false)
-		bodyOut, _ := f.exec(s.Body, st)
-		bodyOut, _ = f.exec(s.Post, bodyOut)
-		// The body may run zero times: merge pessimistically.
-		return mergeStates(st, bodyOut), false
-
-	case *ast.RangeStmt:
-		st := f.scan(in, s.X, true)
-		bodyOut, _ := f.exec(s.Body, st)
-		return mergeStates(st, bodyOut), false
-
-	case *ast.SwitchStmt:
-		st, div := f.exec(s.Init, in)
-		if div {
-			return st, true
-		}
-		st = f.scan(st, s.Tag, false)
-		return f.execClauses(s.Body, st, true)
-
-	case *ast.TypeSwitchStmt:
-		st, div := f.exec(s.Init, in)
-		if div {
-			return st, true
-		}
-		st, div = f.exec(s.Assign, st)
-		if div {
-			return st, true
-		}
-		return f.execClauses(s.Body, st, true)
-
-	case *ast.SelectStmt:
-		// A select with no default blocks until one case fires: no
-		// implicit fall-through path.
-		return f.execClauses(s.Body, in, false)
-
-	case *ast.ReturnStmt:
-		st := in
-		for _, r := range s.Results {
-			st = f.scan(st, r, true)
-		}
-		if st.pending && !st.deferred && f.guardDepth == 0 {
-			f.report(s.Pos(), "returning")
-		}
-		return st, true
-
-	case *ast.BranchStmt:
-		// goto was excluded up front; break/continue leave this path.
-		return in, true
-
-	case *ast.DeferStmt:
-		if f.usesObj(s.Call) {
-			// defer rv.Release(), defer cleanup(rv), defer func(){...rv...}():
-			// the obligation is discharged at function exit for every
-			// return that follows this point on the path.
-			return resvState{pending: in.pending, deferred: true}, false
-		}
-		return in, false
-
-	case *ast.GoStmt:
-		return f.scan(in, s.Call, true), false
-
-	case *ast.AssignStmt:
-		st := in
-		for _, l := range s.Lhs {
-			if id, ok := unparen(l).(*ast.Ident); ok {
-				if f.isObj(id) {
-					// Overwritten: if still pending the old value is lost.
-					if st.pending && !st.deferred && f.guardDepth == 0 {
-						f.report(s.Pos(), "overwriting the reservation")
-					}
-					st = resvState{pending: false, deferred: st.deferred}
-					continue
-				}
-				continue // plain ident target: not a use of obj
-			}
-			st = f.scan(st, l, true) // m[k] = ..., x.f = ...: scan for uses
-		}
-		for _, r := range s.Rhs {
-			st = f.scan(st, r, true)
-		}
-		return st, false
-
-	case *ast.ExprStmt:
-		st := f.scan(in, s.X, true)
-		return st, divergesCall(f.pass, s.X)
-
-	case *ast.LabeledStmt:
-		return f.exec(s.Stmt, in)
-
-	case *ast.DeclStmt:
-		st := in
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						st = f.scan(st, v, true)
-					}
-				}
-			}
-		}
-		return st, false
-
-	case *ast.SendStmt:
-		st := f.scan(in, s.Chan, true)
-		return f.scan(st, s.Value, true), false
-
-	case *ast.IncDecStmt:
-		return f.scan(in, s.X, true), false
-
-	default:
-		// Empty statements and anything unanticipated: scan the whole
-		// node for uses so escapes are never missed.
-		st := in
-		ast.Inspect(s, func(n ast.Node) bool {
-			if e, ok := n.(ast.Expr); ok {
-				st = f.scan(st, e, true)
+		ast.Inspect(n, func(m ast.Node) bool {
+			if e, ok := m.(ast.Expr); ok {
+				s = f.scan(s, e, true)
 				return false
 			}
 			return true
 		})
-		return st, false
-	}
-}
-
-type branchOut struct {
-	st       resvState
-	diverged bool
-}
-
-// mergeBranches joins branch outcomes. Diverged branches do not flow
-// to the join point. Guard branches (conditioned on the reservation or
-// its error) merge optimistically: on one side of the guard the
-// reservation is nil, so demanding resolution on both sides would flag
-// every `if err != nil { return err }`.
-func mergeBranches(guard bool, outs []branchOut) (resvState, bool) {
-	var flowing []resvState
-	for _, o := range outs {
-		if !o.diverged {
-			flowing = append(flowing, o.st)
+	case flowCond:
+		return f.scan(s, n.(ast.Expr), false)
+	case flowRange, flowResult, flowGo:
+		return f.scan(s, n.(ast.Expr), true)
+	case flowDefer:
+		// defer rv.Release(), defer cleanup(rv), defer func(){...rv...}():
+		// the obligation is discharged at function exit for every
+		// return that follows this point on the path.
+		s.deferred = s.deferred || f.usesObj(n)
+	case flowReturn:
+		f.leak(s, n.Pos(), "returning")
+	case flowEnd:
+		if n == f.scope {
+			// The variable's scope dies with the obligation unmet.
+			end := n.End() // a clause ends with its last statement
+			if b, ok := n.(*ast.BlockStmt); ok {
+				end = b.List[len(b.List)-1].End()
+			}
+			f.leak(s, end, "falling off the end of its scope")
 		}
 	}
-	if len(flowing) == 0 {
-		return resvState{}, true
-	}
-	st := flowing[0]
-	for _, o := range flowing[1:] {
-		if guard {
-			st = resvState{pending: st.pending && o.pending, deferred: st.deferred || o.deferred}
-		} else {
-			st = mergeStates(st, o)
-		}
-	}
-	return st, false
+	return s
 }
 
-// mergeStates joins two fall-through states pessimistically: pending
-// wins, deferred must hold on both.
-func mergeStates(a, b resvState) resvState {
+func (f *resvFlow) assign(s resvState, as *ast.AssignStmt) resvState {
+	for _, l := range as.Lhs {
+		if id, ok := unparen(l).(*ast.Ident); ok {
+			if f.isObj(id) {
+				// Overwritten: if still pending the old value is lost.
+				f.leak(s, as.Pos(), "overwriting the reservation")
+				s = resvState{pending: false, deferred: s.deferred}
+			}
+			continue // a plain ident target is not a use of obj
+		}
+		s = f.scan(s, l, true) // m[k] = ..., x.f = ...: scan for uses
+	}
+	for _, r := range as.Rhs {
+		s = f.scan(s, r, true)
+	}
+	return s
+}
+
+// join merges two paths pessimistically (pending wins, deferred must
+// hold on both), except after a guard, where it is the other way round.
+func (f *resvFlow) join(at ast.Stmt, a, b resvState) resvState {
+	if ifs, ok := at.(*ast.IfStmt); ok && slices.Contains(f.guards, ifs) {
+		return resvState{pending: a.pending && b.pending, deferred: a.deferred || b.deferred}
+	}
 	return resvState{pending: a.pending || b.pending, deferred: a.deferred && b.deferred}
 }
 
-// execClauses runs each case/comm clause from the same entry state.
-// implicitPath adds the no-case-taken path (switch without default).
-func (f *resvFlow) execClauses(body *ast.BlockStmt, in resvState, implicitPath bool) (resvState, bool) {
-	var outs []branchOut
-	hasDefault := false
-	for _, clause := range body.List {
-		switch c := clause.(type) {
-		case *ast.CaseClause:
-			if c.List == nil {
-				hasDefault = true
-			}
-			st := in
-			for _, e := range c.List {
-				st = f.scan(st, e, false)
-			}
-			out, div := f.execList(c.Body, st)
-			outs = append(outs, branchOut{out, div})
-		case *ast.CommClause:
-			if c.Comm == nil {
-				hasDefault = true
-			}
-			st, div := f.exec(c.Comm, in)
-			if !div {
-				st, div = f.execList(c.Body, st)
-			}
-			outs = append(outs, branchOut{st, div})
+// leak reports the reservation once, if it is still owed where the path
+// leaves at pos and pos is not inside a guard's branches.
+func (f *resvFlow) leak(s resvState, pos token.Pos, what string) {
+	if !s.pending || s.deferred || f.reported {
+		return
+	}
+	for _, g := range f.guards {
+		if g.Body.Pos() <= pos && pos < g.End() {
+			return
 		}
 	}
-	if implicitPath && !hasDefault {
-		outs = append(outs, branchOut{in, false})
-	}
-	if len(outs) == 0 {
-		return in, false
-	}
-	return mergeBranches(false, outs)
+	f.reported = true
+	leak := f.pass.Fset.Position(pos)
+	f.pass.Reportf(f.callPos, "reservation %s does not reach Consume, Release, or Close on the path %s at %s:%d; the set-aside key bits leak",
+		f.name, what, leak.Filename, leak.Line)
 }
 
 // scan classifies the uses of the reservation inside one expression:
@@ -556,9 +370,6 @@ func (f *resvFlow) execClauses(body *ast.BlockStmt, in resvState, implicitPath b
 // the value goes somewhere (return rv, ch <- rv, x = rv), a plain read
 // in conditions and tags.
 func (f *resvFlow) scan(in resvState, e ast.Expr, rootEscapes bool) resvState {
-	if e == nil {
-		return in
-	}
 	st := in
 	WalkStack(e, func(n ast.Node, stack []ast.Node) bool {
 		id, ok := n.(*ast.Ident)
@@ -655,37 +466,4 @@ func (f *resvFlow) usesGuard(cond ast.Expr) bool {
 		return !found
 	})
 	return found
-}
-
-// divergesCall reports whether the expression statement never returns:
-// panic, os.Exit, runtime.Goexit, log.Fatal*, and testing's
-// Fatal/FailNow/Skip family.
-func divergesCall(pass *Pass, e ast.Expr) bool {
-	call, ok := unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if b, ok := pass.TypesInfo.Uses[fun].(*types.Builtin); ok {
-			return b.Name() == "panic"
-		}
-	case *ast.SelectorExpr:
-		fn, _ := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-		if fn == nil {
-			return false
-		}
-		if pkg := fn.Pkg(); pkg != nil && fn.Type().(*types.Signature).Recv() == nil {
-			switch pkg.Path() + "." + fn.Name() {
-			case "os.Exit", "runtime.Goexit", "log.Fatal", "log.Fatalf", "log.Fatalln":
-				return true
-			}
-			return false
-		}
-		switch fn.Name() {
-		case "Fatal", "Fatalf", "FailNow", "Skip", "Skipf", "SkipNow", "Goexit":
-			return true
-		}
-	}
-	return false
 }

@@ -109,3 +109,82 @@ func turnstile(ch chan int) {
 	ch <- 1
 	mu.Unlock()
 }
+
+// The walk visits every expression a statement evaluates: a select
+// case's comm, a type switch's assign, an inc/dec operand and a send's
+// channel operand. Each case nests its own lock class, because a
+// self-nesting signature is reported once per run.
+var commMu, recvMu, assignMu, incMu, chanMu sync.Mutex
+
+func commValue() int {
+	commMu.Lock()
+	defer commMu.Unlock()
+	return 1
+}
+
+// trySendLocked never parks (the select has a default), and its comm is
+// not itself a channel send; evaluating the comm takes commMu again.
+func trySendLocked(ch chan int) {
+	commMu.Lock()
+	select {
+	case ch <- commValue(): // want `lock lockorder\.commMu acquired while already held`
+	default:
+	}
+	commMu.Unlock()
+}
+
+func recvChan(ch chan int) chan int {
+	recvMu.Lock()
+	defer recvMu.Unlock()
+	return ch
+}
+
+// tryRecvLocked: the receive comm is not itself a blocking receive.
+func tryRecvLocked(ch chan int) int {
+	recvMu.Lock()
+	defer recvMu.Unlock()
+	select {
+	case v := <-recvChan(ch): // want `lock lockorder\.recvMu acquired while already held`
+		return v
+	default:
+		return 0
+	}
+}
+
+func assignValue() any {
+	assignMu.Lock()
+	defer assignMu.Unlock()
+	return 1
+}
+
+func typeSwitchLocked() {
+	assignMu.Lock()
+	switch assignValue().(type) { // want `lock lockorder\.assignMu acquired while already held`
+	case int:
+	}
+	assignMu.Unlock()
+}
+
+func incIndex() int {
+	incMu.Lock()
+	defer incMu.Unlock()
+	return 0
+}
+
+func incLocked(counts []int) {
+	incMu.Lock()
+	counts[incIndex()]++ // want `lock lockorder\.incMu acquired while already held`
+	incMu.Unlock()
+}
+
+func chanOf(ch chan int) chan int {
+	chanMu.Lock()
+	defer chanMu.Unlock()
+	return ch
+}
+
+func sendChanLocked(ch chan int) {
+	chanMu.Lock()
+	chanOf(ch) <- 1 // want `lockorder\.chanMu held across channel send` `lock lockorder\.chanMu acquired while already held`
+	chanMu.Unlock()
+}

@@ -47,6 +47,18 @@ func okBranchRelease(rv *keypool.Reservation, fail bool) {
 	use(pad)
 }
 
+// Voided on both arms of an if/else: every path into the Consume has
+// refunded or discarded the reservation.
+func reburnAfterBothArms(rv *keypool.Reservation, fail bool) {
+	if fail {
+		rv.Release()
+	} else {
+		rv.Close()
+	}
+	pad, _ := rv.Consume(8) // want `pad re-burn: rv.Consume after rv voided the reservation`
+	_ = pad
+}
+
 // --- rule 2: retained alias of consumed key material ---
 
 func retainField(rv *keypool.Reservation, s *sink) {
@@ -120,4 +132,22 @@ func okWipeLast(rv *keypool.Reservation) {
 	pad, _ := rv.Consume(8)
 	use(pad)
 	clear(pad)
+}
+
+// Wiped on both arms of an if/else: the read sees zeroes on every path.
+func useAfterClearBothArms(pad []byte, short bool) byte {
+	if short {
+		clear(pad)
+	} else {
+		clear(pad)
+	}
+	return pad[0] // want `use of pad after it was wiped`
+}
+
+// Wiped on one arm only: the read may see key material.
+func okWipeOneArm(pad []byte, done bool) byte {
+	if done {
+		clear(pad)
+	}
+	return pad[0]
 }

@@ -32,14 +32,10 @@ import (
 	"flag"
 	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"io"
 	"os"
-	"path/filepath"
-	"runtime"
 	"strings"
 
 	"qkd/internal/lint"
@@ -231,46 +227,15 @@ func processCfg(path string, analyzers []*lint.Analyzer) int {
 // build's export data.
 func loadPackage(cfg *Config) (*token.FileSet, []*ast.File, *types.Package, *types.Info, error) {
 	fset := token.NewFileSet()
-	var files []*ast.File
-	var parseErr error
-	for _, name := range cfg.GoFiles {
-		if !filepath.IsAbs(name) {
-			name = filepath.Join(cfg.Dir, name)
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil && parseErr == nil {
-			parseErr = err
-		}
-		if f != nil {
-			files = append(files, f)
-		}
-	}
-	if parseErr != nil {
-		return fset, files, nil, nil, parseErr
-	}
-
-	imp := importer.ForCompiler(fset, "gc", func(importPath string) (io.ReadCloser, error) {
+	imp := lint.ExportImporter(fset, func(importPath string) (string, bool) {
 		if mapped, ok := cfg.ImportMap[importPath]; ok {
 			importPath = mapped
 		}
 		file, ok := cfg.PackageFile[importPath]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", importPath)
-		}
-		return os.Open(file)
+		return file, ok
 	})
-	info := lint.NewInfo()
-	tcfg := types.Config{
-		Importer:  imp,
-		GoVersion: cfg.GoVersion,
-		Sizes:     types.SizesFor("gc", runtime.GOARCH),
-		Error:     func(error) {}, // collect via returned err; keep going
-	}
-	pkg, err := tcfg.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		return fset, files, nil, nil, err
-	}
-	return fset, files, pkg, info, nil
+	files, pkg, info, err := lint.TypeCheck(fset, cfg.ImportPath, cfg.Dir, cfg.GoFiles, imp, cfg.GoVersion)
+	return fset, files, pkg, info, err
 }
 
 // readDepFacts merges the facts files of every direct import. Each is
