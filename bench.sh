@@ -49,13 +49,15 @@
 #                                   single-packet and 64-packet batched
 #                                   paths, plus 8 tunnels in parallel,
 #                                   AES seal+open at 64 / 176 / 512 /
-#                                   1400 B payloads (the sizes that set
-#                                   the CTR keystream crossover), and
-#                                   one SAD rollover install against
-#                                   64 / 1024 / 25,000 tunnels, and one
-#                                   HMAC-SHA1 tag over the 104- and
-#                                   1440-byte ESP bodies of a 64 and a
-#                                   1400 B payload (DESIGN.md §10-11)
+#                                   1400 B payloads (80 / 192 / 528 /
+#                                   1416 B inner packets), one SAD
+#                                   rollover install against 64 / 1024 /
+#                                   25,000 tunnels, one HMAC-SHA1 tag
+#                                   over the 104- and 1440-byte ESP
+#                                   bodies of a 64 and a 1400 B payload,
+#                                   and one AES-128-CTR keystream over
+#                                   each of the four inner packets
+#                                   (DESIGN.md §10-11)
 #   flow    -> BENCH_flow.json      closed-loop replenishment control:
 #                                   foreground credit-controller and
 #                                   LEDBAT-style background ticks on the
@@ -166,6 +168,7 @@ run_qnet_group() {
 run_ipsec_group() {
     run ./internal/ipsec/ 'Benchmark(Gateway_(SealAES|OpenAES|SealOpenAES|SealOTP|Parallel|SealAESBatch|OpenAESBatch|SealOTPBatch|ParallelBatch)|SAD_Rollover)$'
     run ./internal/hmacsha1/ 'BenchmarkSum$'
+    run ./internal/aesctr/ 'BenchmarkXORKeyStream$'
     emit BENCH_ipsec.json
 }
 

@@ -53,8 +53,8 @@ func refSealAES(tb testing.TB, key []byte, spi, seq uint32, payload []byte) []by
 }
 
 // TestSealAESWireBytes pins the AES suite's wire format against
-// refSealAES for every payload length on both sides of ctrInlineMax
-// and a full-size packet: a seal/open round trip cannot catch a
+// refSealAES for every payload length from 0 to 256 bytes and a
+// full-size packet: a seal/open round trip cannot catch a
 // keystream both ends get wrong the same way. Open must accept every
 // reference blob. The keystream itself must also match cipher.NewCTR
 // across a carry out of the counter's low 64 bits, which an IV read
@@ -72,7 +72,7 @@ func TestSealAESWireBytes(t *testing.T) {
 	}
 	payload := randKey(1400, 32)
 	var lengths []int
-	for n := 0; n <= ctrInlineMax+64; n++ {
+	for n := 0; n <= 256; n++ {
 		lengths = append(lengths, n)
 	}
 	lengths = append(lengths, 1400)
@@ -94,16 +94,20 @@ func TestSealAESWireBytes(t *testing.T) {
 		}
 	}
 
+	block, err := aes.NewCipher(key[:16])
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, lo := range []uint64{^uint64(0), ^uint64(0) - 3} {
 		for _, hi := range []uint64{7, ^uint64(0)} {
 			iv := make([]byte, aes.BlockSize)
 			binary.BigEndian.PutUint64(iv, hi)
 			binary.BigEndian.PutUint64(iv[8:], lo)
-			src := payload[:ctrInlineMax]
+			src := payload[:192]
 			want := make([]byte, len(src))
-			cipher.NewCTR(tx.block, iv).XORKeyStream(want, src)
+			cipher.NewCTR(block, iv).XORKeyStream(want, src)
 			got := make([]byte, len(src))
-			tx.xorCTRLocked(got, src, iv)
+			tx.aesKey.XORKeyStream(got, src, (*[aes.BlockSize]byte)(iv))
 			if !bytes.Equal(got, want) {
 				t.Errorf("IV %016x%016x: keystream differs from cipher.NewCTR", hi, lo)
 			}
@@ -115,15 +119,19 @@ func TestSealAESWireBytes(t *testing.T) {
 // suite: whatever Seal produces, a same-keyed receiver must Open back
 // to the original bytes, and neither side may panic. AES blobs must
 // also equal refSealAES's byte for byte; the last seeds sit on either
-// side of ctrInlineMax, where the keystream changes implementation.
+// side of 192 bytes, where the keystream once changed implementation,
+// and of 128, the AES-NI kernel's 8-block group.
 func FuzzSealOpen(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("ping"))
 	f.Add(bytes.Repeat([]byte{0xA5}, 1400))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1})
-	f.Add(bytes.Repeat([]byte{0x3C}, ctrInlineMax-1))
-	f.Add(bytes.Repeat([]byte{0x3C}, ctrInlineMax))
-	f.Add(bytes.Repeat([]byte{0x3C}, ctrInlineMax+1))
+	f.Add(bytes.Repeat([]byte{0x3C}, 191))
+	f.Add(bytes.Repeat([]byte{0x3C}, 192))
+	f.Add(bytes.Repeat([]byte{0x3C}, 193))
+	f.Add(bytes.Repeat([]byte{0x3C}, 127))
+	f.Add(bytes.Repeat([]byte{0x3C}, 128))
+	f.Add(bytes.Repeat([]byte{0x3C}, 129))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if len(payload) > 8*1024 {
 			payload = payload[:8*1024]

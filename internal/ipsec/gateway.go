@@ -99,12 +99,6 @@ func (b *peerSAD) install(sa *SA) {
 	}
 }
 
-func (b *peerSAD) remove(spi uint32) {
-	if _, loaded := b.bySPI.LoadAndDelete(spi); loaded {
-		b.count.Add(-1)
-	}
-}
-
 // removeSA deletes sa only while its SPI still maps to it, so retiring
 // a generation can never remove a newer SA that reused the SPI.
 func (b *peerSAD) removeSA(sa *SA) {
@@ -256,15 +250,6 @@ func (d *SAD) BySPIPeer(peer Addr, spi uint32) *SA {
 func (d *SAD) RemoveOutbound(policyName string, sa *SA) {
 	if d.outbound.CompareAndDelete(policyName, sa) {
 		d.outCount.Add(-1)
-	}
-}
-
-// RemoveInbound deletes an inbound SA by SPI from every bucket.
-func (d *SAD) RemoveInbound(spi uint32) {
-	d.peerMu.RLock()
-	defer d.peerMu.RUnlock()
-	for _, b := range d.peers {
-		b.remove(spi)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"qkd/internal/aesctr"
 	"qkd/internal/rng"
 )
 
@@ -207,6 +208,29 @@ func TestOTPPadExhaustion(t *testing.T) {
 	}
 	if tx.PadRemaining() >= 24 {
 		t.Errorf("PadRemaining = %d after exhaustion", tx.PadRemaining())
+	}
+}
+
+// TestWCHashTabMatchesReference pins the packet path's table-driven
+// Wegman-Carter hash to the slice-based reference: for the zero key,
+// the unit key and random keys, over random messages of every length
+// from 0 to 299 bytes, so every tail length mod 8 is covered many
+// times.
+func TestWCHashTabMatchesReference(t *testing.T) {
+	r := rng.NewSplitMix64(61)
+	keys := []uint64{0, 1}
+	for i := 0; i < 8; i++ {
+		keys = append(keys, r.Uint64())
+	}
+	msg := make([]byte, 299)
+	for _, key := range keys {
+		tab := buildWCTable(key)
+		for n := 0; n <= len(msg); n++ {
+			r.Bytes(msg[:n])
+			if got, want := wcHashTab(tab, msg[:n]), wcHash(key, msg[:n]); got != want {
+				t.Fatalf("key %#x, %d-byte message: table form %#x, reference %#x", key, n, got, want)
+			}
+		}
 	}
 }
 
@@ -1003,10 +1027,11 @@ func BenchmarkGateway_OpenAES(b *testing.B) {
 
 // BenchmarkGateway_SealOpenAES seals and opens one packet at a time
 // through the gateways' batch-of-one path, the way vpn.Send drives
-// them, at payload sizes on both sides of ctrInlineMax: 64 and 176 B
-// (80 and 192 B inner packets) take the block-by-block keystream, 512
-// and 1400 B take cipher.NewCTR. Comparing the sizes with the constant
-// moved is how it was chosen.
+// them, at payloads of 64, 176, 512 and 1400 B (80, 192, 528 and
+// 1416 B inner packets): rekey-storm's packet, the DimDim trace's
+// small and middle sizes, and a full-size one. aesctr's
+// BenchmarkXORKeyStream times the keystream alone at the same inner
+// sizes.
 func BenchmarkGateway_SealOpenAES(b *testing.B) {
 	for _, size := range []int{64, 176, 512, 1400} {
 		b.Run(fmt.Sprint(size), func(b *testing.B) {
@@ -1248,20 +1273,22 @@ func burstAllocs(t *testing.T, suite CipherSuite, payload int) (seal, open float
 // TestBatchSealAllocs pins the batched outbound path's allocation
 // counts. Once the batch arena is warm, a 64-packet OTP burst is
 // zero-alloc (pad XOR and the table-driven tag touch no heap), and so
-// is an AES burst of small packets, whose CTR keystream comes from the
-// SA's cached block cipher. Above ctrInlineMax the AES path pays one
-// allocation per packet, cipher.NewCTR's stream, and nothing else.
+// is an AES burst at any packet size, whose CTR keystream comes from
+// the round keys held in the SA. The AES bounds skip where CPUID lacks
+// AES-NI: there the keystream is crypto/cipher's, which allocates its
+// stream for every packet.
 func TestBatchSealAllocs(t *testing.T) {
 	const burst = 64
 	if seal, _ := burstAllocs(t, SuiteOTP, 1400); seal > 4 {
 		t.Errorf("batched OTP seal: %.1f allocs per %d-packet burst, want <= 4", seal, burst)
 	}
-	if seal, _ := burstAllocs(t, SuiteAES128CTR, 64); seal > 0 {
-		t.Errorf("batched AES seal, 64 B: %.1f allocs per %d-packet burst, want 0", seal, burst)
+	if !aesctr.AESNI() {
+		t.Skip("CPU lacks AES-NI")
 	}
-	if seal, _ := burstAllocs(t, SuiteAES128CTR, 1400); seal > burst {
-		t.Errorf("batched AES seal, 1400 B: %.1f allocs per %d-packet burst, want <= %d (NewCTR only)",
-			seal, burst, burst)
+	for _, n := range []int{64, 1400} {
+		if seal, _ := burstAllocs(t, SuiteAES128CTR, n); seal > 0 {
+			t.Errorf("batched AES seal, %d B: %.1f allocs per %d-packet burst, want 0", n, seal, burst)
+		}
 	}
 }
 
@@ -1272,11 +1299,12 @@ func TestBatchOpenAllocs(t *testing.T) {
 	if _, open := burstAllocs(t, SuiteOTP, 1400); open > 0 {
 		t.Errorf("batched OTP open: %.1f allocs per %d-packet burst, want 0", open, burst)
 	}
-	if _, open := burstAllocs(t, SuiteAES128CTR, 64); open > 0 {
-		t.Errorf("batched AES open, 64 B: %.1f allocs per %d-packet burst, want 0", open, burst)
+	if !aesctr.AESNI() {
+		t.Skip("CPU lacks AES-NI")
 	}
-	if _, open := burstAllocs(t, SuiteAES128CTR, 1400); open > burst {
-		t.Errorf("batched AES open, 1400 B: %.1f allocs per %d-packet burst, want <= %d (NewCTR only)",
-			open, burst, burst)
+	for _, n := range []int{64, 1400} {
+		if _, open := burstAllocs(t, SuiteAES128CTR, n); open > 0 {
+			t.Errorf("batched AES open, %d B: %.1f allocs per %d-packet burst, want 0", n, open, burst)
+		}
 	}
 }

@@ -358,6 +358,3 @@ func (s *SPD) ByName(name string) *Policy {
 	}
 	return idx.byName[name]
 }
-
-// Policies returns the entries in order.
-func (s *SPD) Policies() []*Policy { return s.entries }

@@ -1,7 +1,6 @@
 package ipsec
 
 import (
-	"crypto/aes"
 	"crypto/cipher"
 	"crypto/des"
 	"crypto/subtle"
@@ -11,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"qkd/internal/aesctr"
 	"qkd/internal/gf2"
 	"qkd/internal/hmacsha1"
 )
@@ -135,12 +135,13 @@ type SA struct {
 	bytesSealed uint64
 	bytesOpened uint64
 
-	// Cached key schedules: the AES/3DES block cipher expansion and the
-	// HMAC pad states are built once at construction, not per packet.
-	block cipher.Block
-	mac   hmacsha1.MAC
-	icv   [hmacsha1.Size]byte // scratch for mac.Sum
-	ctr   [aes.BlockSize]byte // scratch CTR counter block (xorCTRLocked)
+	// Cached key schedules, built once at construction, not per packet:
+	// the AES round keys held in place, the 3DES block cipher and the
+	// HMAC pad states.
+	aesKey aesctr.Key
+	block  cipher.Block // 3DES only
+	mac    hmacsha1.MAC
+	icv    [hmacsha1.Size]byte // scratch for mac.Sum
 
 	// Lifecycle: a rollover marks the superseded generation, which keeps
 	// decrypting in-flight traffic until retireAt and is then refused.
@@ -198,7 +199,7 @@ func NewSA(spi uint32, suite CipherSuite, key []byte, life Lifetime) (*SA, error
 	var err error
 	switch suite {
 	case SuiteAES128CTR:
-		sa.block, err = aes.NewCipher(key[:encLen])
+		err = sa.aesKey.Init(key[:encLen])
 	case Suite3DESCBC:
 		sa.block, err = des.NewTripleDESCipher(key[:encLen])
 	}
@@ -421,7 +422,7 @@ func (sa *SA) sealAppendLocked(dst, payload []byte) ([]byte, error) {
 	case SuiteNull:
 		copy(ct, payload)
 	case SuiteAES128CTR:
-		sa.xorCTRLocked(ct, payload, iv)
+		sa.aesKey.XORKeyStream(ct, payload, (*[aesctr.BlockSize]byte)(iv))
 	case Suite3DESCBC:
 		copy(ct, payload)
 		padB := byte(ctLen - len(payload))
@@ -443,43 +444,6 @@ func (sa *SA) sealAppendLocked(dst, payload []byte) ([]byte, error) {
 func (sa *SA) icvLocked(body []byte) []byte {
 	sa.mac.Sum(&sa.icv, body)
 	return sa.icv[:icvLen]
-}
-
-// ctrInlineMax is the largest AES payload whose CTR keystream is built
-// block by block from the SA's cached cipher.Block. cipher.NewCTR copies
-// the AES key schedule to the heap on every call; its pipelined
-// keystream repays that only on larger packets
-// (BenchmarkGateway_SealOpenAES picks the size).
-const ctrInlineMax = 192
-
-// xorCTRLocked sets dst to src XOR the AES-CTR keystream whose first
-// counter block is iv, byte for byte what cipher.NewCTR(sa.block,
-// iv).XORKeyStream(dst, src) produces. Up to ctrInlineMax bytes the
-// keystream is encrypted straight into dst, one block at a time, with
-// sa.ctr as the counter; a partial last block is encrypted in place in
-// sa.ctr, which is not needed after it. Caller holds sa.mu.
-func (sa *SA) xorCTRLocked(dst, src, iv []byte) {
-	if len(src) > ctrInlineMax {
-		cipher.NewCTR(sa.block, iv).XORKeyStream(dst, src)
-		return
-	}
-	ctr := sa.ctr[:]
-	copy(ctr, iv)
-	full := len(src) &^ (aes.BlockSize - 1)
-	for off := 0; off < full; off += aes.BlockSize {
-		sa.block.Encrypt(dst[off:], ctr)
-		// Increment the counter as one 128-bit big-endian integer.
-		lo := binary.BigEndian.Uint64(ctr[8:]) + 1
-		binary.BigEndian.PutUint64(ctr[8:], lo)
-		if lo == 0 {
-			binary.BigEndian.PutUint64(ctr, binary.BigEndian.Uint64(ctr)+1)
-		}
-	}
-	if full < len(src) {
-		sa.block.Encrypt(ctr, ctr)
-		copy(dst[full:], ctr)
-	}
-	subtle.XORBytes(dst, dst, src)
 }
 
 // Open verifies, replay-checks and decrypts a sealed blob. An SA past
@@ -560,7 +524,7 @@ func (sa *SA) openAppendLocked(dst, blob []byte) ([]byte, error) {
 			dst = append(dst, data...)
 		case SuiteAES128CTR:
 			dst = appendZeros(dst, len(data))
-			sa.xorCTRLocked(dst[start:], data, iv)
+			sa.aesKey.XORKeyStream(dst[start:], data, (*[aesctr.BlockSize]byte)(iv))
 		case Suite3DESCBC:
 			bs := sa.block.BlockSize()
 			if len(data)%bs != 0 || len(data) == 0 {
@@ -647,7 +611,8 @@ func pkcs7Unpad(data []byte, block int) ([]byte, error) {
 // wcHash is the GF(2^64) polynomial hash used for OTP integrity tags
 // (Horner over 8-byte little-endian blocks, zero-padded tail, length
 // mixed in last). This slice-based form is the reference the packet
-// path's table-driven wcHashTab is pinned against in tests.
+// path's table-driven wcHashTab is pinned against
+// (TestWCHashTabMatchesReference).
 func wcHash(key uint64, msg []byte) uint64 {
 	k := []uint64{key}
 	acc := []uint64{0}
