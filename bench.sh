@@ -29,6 +29,8 @@
 #                                   per layer it crosses (DESIGN.md §7)
 #     BenchmarkMul4096 / BenchmarkMul1024  GF(2^n) windowed-comb multiply
 #     BenchmarkMask4096                    word-batched LFSR subsets
+#     BenchmarkParityIndexQuery4096        one rank-range parity query of
+#                                          Cascade's bisection pattern
 #     BenchmarkBBN4096QBER5                rank-indexed BBN Cascade, 5% QBER
 #     BenchmarkApply4096to2048             privacy amplification end to end
 #     BenchmarkPipeline_DistillPerFrame    full sift->EC->entropy->PA frame
@@ -147,11 +149,12 @@ EOF
 }
 
 run_distill_group() {
-    run ./internal/gf2/     'BenchmarkMul4096$|BenchmarkMul1024$'
-    run ./internal/rng/     'BenchmarkMask4096$'
-    run ./internal/cascade/ 'BenchmarkBBN4096QBER5$'
-    run ./internal/privacy/ 'BenchmarkApply4096to2048$'
-    run .                   'BenchmarkPipeline_DistillPerFrame$'
+    run ./internal/gf2/      'BenchmarkMul4096$|BenchmarkMul1024$'
+    run ./internal/rng/      'BenchmarkMask4096$'
+    run ./internal/bitarray/ 'BenchmarkParityIndexQuery4096$'
+    run ./internal/cascade/  'BenchmarkBBN4096QBER5$'
+    run ./internal/privacy/  'BenchmarkApply4096to2048$'
+    run .                    'BenchmarkPipeline_DistillPerFrame$'
     emit BENCH_distill.json
 }
 

@@ -223,16 +223,6 @@ func (a *BitArray) Xor(b *BitArray) {
 	}
 }
 
-// And sets a &= b. The arrays must be the same length.
-func (a *BitArray) And(b *BitArray) {
-	if a.n != b.n {
-		panic("bitarray: And length mismatch")
-	}
-	for i := range a.words {
-		a.words[i] &= b.words[i]
-	}
-}
-
 // Not flips every bit in place.
 func (a *BitArray) Not() {
 	for i := range a.words {

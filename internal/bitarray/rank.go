@@ -10,15 +10,20 @@ import (
 // ask for the parity of the key restricted to the subset's members with
 // *rank* in [lo, hi) — the members in subset order, not bit order. The
 // bit-serial answer walks every member with Get; the structures here
-// answer from per-word prefix sums in O(log words) lookups.
+// answer from per-word prefix sums, a select sample and a broadword
+// in-word select, in a constant number of word lookups for masks of
+// LFSR density.
 
 // Rank indexes the set bits of a mask for rank/select queries. It
-// depends only on the mask, so Cascade caches one per subset seed and
-// rebinds it to fresh key snapshots with Index as rounds progress.
+// depends only on the mask, so Cascade builds one per subset seed and
+// rebinds it to fresh key snapshots with Bind as rounds progress.
 // The zero value is empty; (re)build with Build.
 type Rank struct {
-	mask  []uint64
-	cum   []int32 // cum[w] = set bits in mask words [0, w)
+	mask []uint64
+	cum  []int32 // cum[w] = set bits in mask words [0, w)
+	// samp[j] is the word holding the member of rank 64j, so the member
+	// of rank k lies at or after word samp[k/64].
+	samp  []int32
 	count int
 }
 
@@ -33,17 +38,29 @@ func NewRank(mask *BitArray) *Rank {
 // The mask's word slice is referenced, not copied.
 func (r *Rank) Build(mask *BitArray) {
 	r.mask = mask.words
-	if cap(r.cum) < len(r.mask)+1 {
-		r.cum = make([]int32, len(r.mask)+1)
+	nw := len(r.mask)
+	if cap(r.cum) < nw+1 {
+		r.cum = make([]int32, nw+1)
 	}
-	r.cum = r.cum[:len(r.mask)+1]
-	c := int32(0)
+	r.cum = r.cum[:nw+1]
+	// A word's members span at most 64 consecutive ranks, so at most
+	// one sample falls in each word: nw slots hold them all.
+	if cap(r.samp) < nw {
+		r.samp = make([]int32, nw)
+	}
+	r.samp = r.samp[:nw]
+	c, j := int32(0), 0 // j: the next sample, of rank 64j >= c
 	for i, w := range r.mask {
 		r.cum[i] = c
+		// Written for every word: the slot is overwritten until the
+		// word holding rank 64j arrives, and then j moves past it.
+		r.samp[j] = int32(i)
 		c += int32(bits.OnesCount64(w))
+		j = int(c+63) >> 6
 	}
-	r.cum[len(r.mask)] = c
+	r.cum[nw] = c
 	r.count = int(c)
+	r.samp = r.samp[:j]
 }
 
 // Count returns the number of set bits (subset members).
@@ -56,52 +73,75 @@ func (r *Rank) Select(k int) int {
 		panic(fmt.Sprintf("bitarray: Select(%d) out of range [0,%d)", k, r.count))
 	}
 	w := r.findWord(k)
-	s := k + 1 - int(r.cum[w])
-	return w<<6 + selectWord(r.mask[w], s)
+	return w<<6 + selectWord(r.mask[w], k-int(r.cum[w]))
 }
 
-// findWord returns the word holding the set bit of 0-based rank k.
+// findWord returns the word holding the member of rank k, 0 <= k < Count.
 func (r *Rank) findWord(k int) int {
-	// Invariant: cum[lo] <= k < cum[hi].
-	lo, hi := 0, len(r.cum)-1
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if int(r.cum[mid]) <= k {
-			lo = mid
-		} else {
-			hi = mid
-		}
+	// Scan on from the sample: the 64 members after it lie in two or
+	// three words of a mask of density 1/2, as Cascade's LFSR subsets
+	// are; a sparse mask scans its longer gaps. The scan stops at the
+	// word holding rank k, as cum[nw] = Count > k.
+	w := int(r.samp[k>>6])
+	for int(r.cum[w+1]) <= k {
+		w++
 	}
-	return lo
+	return w
 }
 
-// selectWord returns the position of the s-th (1-based) set bit of w.
-func selectWord(w uint64, s int) int {
-	base := 0
-	for {
-		c := bits.OnesCount8(uint8(w))
-		if s <= c {
-			break
+const (
+	lsb8 = 0x0101010101010101
+	msb8 = 0x8080808080808080
+)
+
+// selectInByte[r][b] is the position of the set bit of rank r in byte b.
+var selectInByte [8][256]uint8
+
+func init() {
+	for b := 0; b < 256; b++ {
+		r := 0
+		for i := 0; i < 8; i++ {
+			if b>>i&1 == 1 {
+				selectInByte[r][b] = uint8(i)
+				r++
+			}
 		}
-		s -= c
-		w >>= 8
-		base += 8
 	}
-	for i := 1; i < s; i++ {
-		w &= w - 1
-	}
-	return base + bits.TrailingZeros64(w)
+}
+
+// selectWord returns the position of the set bit of rank r (0-based) in
+// w, which must have more than r set bits. It is broadword: the byte
+// popcounts' running sums find the byte in one compare across all
+// eight lanes, and a table finishes inside the byte.
+func selectWord(w uint64, r int) int {
+	c := w - (w>>1)&0x5555555555555555
+	c = c&0x3333333333333333 + (c>>2)&0x3333333333333333
+	c = (c + c>>4) & 0x0f0f0f0f0f0f0f0f
+	c *= lsb8 // byte i: set bits in bytes 0..i
+	// Lane i computes 128+r-c_i, which keeps its top bit exactly when
+	// c_i <= r (r < 64 and c_i <= 64, so no lane borrows): those lanes
+	// are the bytes wholly before the target.
+	b := bits.OnesCount64(((uint64(r)*lsb8|msb8)-c)&msb8) << 3
+	r -= int((c << 8 >> uint(b)) & 0xff)
+	return b + int(selectInByte[r&7][uint8(w>>uint(b))])
 }
 
 // ParityIndex binds a Rank to a snapshot of a data array, answering
 // "parity of the data bits at subset members of rank [lo, hi)" from the
 // per-word prefix parities of data AND mask. The snapshot is live by
 // reference: after the data array changes, Bind again before querying.
+// Queries update a memo, so an index serves one goroutine at a time.
 // The zero value is empty; build with Rank.Bind.
 type ParityIndex struct {
 	rank   *Rank
 	data   []uint64
 	parCum []uint8 // parCum[w] = parity of data&mask over words [0, w)
+	// The last range's ends and their prefix parities. A bisection's
+	// next range starts at the previous range's lo or hi, so one of its
+	// two prefixes is known. Bind resets both ends to rank 0, whose
+	// prefix parity is 0 on every snapshot.
+	lastLo, lastHi int
+	parLo, parHi   int
 }
 
 // Bind builds (or rebuilds, reusing px's storage when non-nil) a
@@ -113,6 +153,7 @@ func (r *Rank) Bind(data *BitArray, px *ParityIndex) *ParityIndex {
 	}
 	px.rank = r
 	px.data = data.words
+	px.lastLo, px.lastHi, px.parLo, px.parHi = 0, 0, 0, 0
 	if cap(px.parCum) < len(r.mask)+1 {
 		px.parCum = make([]uint8, len(r.mask)+1)
 	}
@@ -129,7 +170,18 @@ func (r *Rank) Bind(data *BitArray, px *ParityIndex) *ParityIndex {
 // ParityRange returns the parity of the data bits at members of rank
 // [lo, hi), 0 <= lo <= hi <= Count.
 func (p *ParityIndex) ParityRange(lo, hi int) int {
-	return p.parityUpTo(hi) ^ p.parityUpTo(lo)
+	var plo int
+	switch lo {
+	case p.lastLo:
+		plo = p.parLo
+	case p.lastHi:
+		plo = p.parHi
+	default:
+		plo = p.parityUpTo(lo)
+	}
+	phi := p.parityUpTo(hi)
+	p.lastLo, p.parLo, p.lastHi, p.parHi = lo, plo, hi, phi
+	return plo ^ phi
 }
 
 // parityUpTo returns the parity of the data bits at the first k members.
@@ -142,9 +194,8 @@ func (p *ParityIndex) parityUpTo(k int) int {
 		return int(p.parCum[len(r.mask)])
 	}
 	w := r.findWord(k - 1)
-	s := k - int(r.cum[w]) // members of word w to include, >= 1
-	pos := selectWord(r.mask[w], s)
-	low := r.mask[w] & (uint64(2)<<uint(pos) - 1) // lowest s members
+	pos := selectWord(r.mask[w], k-1-int(r.cum[w])) // the k-th member
+	low := r.mask[w] & (uint64(2)<<uint(pos) - 1)   // members up to it
 	return int(p.parCum[w]) ^ bits.OnesCount64(p.data[w]&low)&1
 }
 

@@ -41,8 +41,9 @@ func (c *BlockParity) geometry(n int) (k, blocks int) {
 
 // RunReference implements Protocol.
 func (c *BlockParity) RunReference(m Messenger, key *bitarray.BitArray) (int, error) {
+	l := &link{m: m}
 	n := key.Len()
-	if err := recvHello(m, n); err != nil {
+	if err := l.recvHello(n); err != nil {
 		return 0, err
 	}
 	k, blocks := c.geometry(n)
@@ -58,12 +59,12 @@ func (c *BlockParity) RunReference(m Messenger, key *bitarray.BitArray) (int, er
 				par.Set(b, 1)
 			}
 		}
-		if err := sendMsg(m, msgBlocks, par.Bytes()); err != nil {
+		if err := l.send(append(l.start(msgBlocks), par.Bytes()...)); err != nil {
 			return disclosed, err
 		}
 		disclosed += blocks
 
-		d, finished, err := serveRound(m, func(_ uint32, lo, hi int) (int, error) {
+		d, finished, err := l.serveRound(func(_ uint32, lo, hi int) (int, error) {
 			if lo < 0 || hi > n || lo >= hi {
 				return 0, fmt.Errorf("%w: query out of range", errProtocol)
 			}
@@ -82,18 +83,21 @@ func (c *BlockParity) RunReference(m Messenger, key *bitarray.BitArray) (int, er
 
 // RunCorrect implements Protocol.
 func (c *BlockParity) RunCorrect(m Messenger, key *bitarray.BitArray) (*Result, error) {
+	l := &link{m: m}
 	work := key.Clone()
 	n := work.Len()
-	if err := sendHello(m, n); err != nil {
+	if err := l.sendHello(n); err != nil {
 		return nil, err
 	}
 	k, blocks := c.geometry(n)
-	ident := func(r int) int { return r }
-	var pp *bitarray.PrefixParity
+	// One pass in natural order: Classic's first pass, never shuffled.
+	pass := &passState{}
+	idx := passList{pass}
+	var searches []searchState
 	res := &Result{Corrected: work}
 	for iter := 0; iter < c.MaxIters; iter++ {
 		res.Rounds = iter + 1
-		body, err := recvMsg(m, msgBlocks)
+		body, err := l.recv(msgBlocks)
 		if err != nil {
 			return nil, err
 		}
@@ -103,27 +107,27 @@ func (c *BlockParity) RunCorrect(m Messenger, key *bitarray.BitArray) (*Result, 
 		}
 		res.Disclosed += blocks
 
-		pp = work.PrefixParities(nil, pp)
-		var searches []*searchState
+		pass.pp = work.PrefixParities(nil, pass.pp)
+		searches = searches[:0]
 		for b := 0; b < blocks; b++ {
 			lo, hi := b*k, (b+1)*k
 			if hi > n {
 				hi = n
 			}
-			if pp.Range(lo, hi) != refPar.Get(b) {
-				searches = append(searches, &searchState{lo: lo, hi: hi, parity: pp.Range, member: ident})
+			if pass.pp.Range(lo, hi) != refPar.Get(b) {
+				searches = append(searches, searchState{lo: lo, hi: hi})
 			}
 		}
 		if len(searches) == 0 {
-			if err := sendMsg(m, msgRoundDone, []byte{1}); err != nil {
+			if err := l.send(append(l.start(msgRoundDone), 1)); err != nil {
 				return nil, err
 			}
-			if err := sendMsg(m, msgFinish, nil); err != nil {
+			if err := l.send(l.start(msgFinish)); err != nil {
 				return nil, err
 			}
 			return res, nil
 		}
-		bits, d, err := runWave(m, searches)
+		bits, d, err := l.runWave(&idx, searches)
 		if err != nil {
 			return nil, err
 		}
@@ -132,7 +136,7 @@ func (c *BlockParity) RunCorrect(m Messenger, key *bitarray.BitArray) (*Result, 
 			work.Flip(bit)
 			res.Flips++
 		}
-		if err := sendMsg(m, msgRoundDone, []byte{0}); err != nil {
+		if err := l.send(append(l.start(msgRoundDone), 0)); err != nil {
 			return nil, err
 		}
 	}

@@ -46,8 +46,12 @@ import (
 
 // Messenger is the minimal reliable message transport the protocols
 // need. Package core adapts channel.Conn to it.
+//
+// Send must not keep p, or anything aliasing it, after it returns: a
+// protocol run builds every message it sends in one reused buffer.
+// Implementations copy p or write it out before returning.
 type Messenger interface {
-	Send(payload []byte) error
+	Send(p []byte) error
 	Recv() ([]byte, error)
 }
 
@@ -102,12 +106,29 @@ var errProtocol = errors.New("cascade: protocol violation")
 // Shared helpers
 // ---------------------------------------------------------------------
 
-func sendMsg(m Messenger, typ byte, body []byte) error {
-	return m.Send(append([]byte{typ}, body...))
+// link is one protocol run's end of the public channel: the Messenger,
+// and the scratch that outgoing messages and the corrector's waves are
+// built in, reused for every message of the run.
+type link struct {
+	m      Messenger
+	msg    []byte         // the message being built
+	active []*searchState // runWave's searches still bisecting
+	found  []int          // runWave's located errors
 }
 
-func recvMsg(m Messenger, want byte) ([]byte, error) {
-	p, err := m.Recv()
+// start begins a message of type typ in the link's buffer.
+func (l *link) start(typ byte) []byte { return append(l.msg[:0], typ) }
+
+// send transmits p, a message begun with start, and keeps its storage
+// for the next message.
+func (l *link) send(p []byte) error {
+	l.msg = p
+	return l.m.Send(p)
+}
+
+// recv receives a message of type want and returns its body.
+func (l *link) recv(want byte) ([]byte, error) {
+	p, err := l.m.Recv()
 	if err != nil {
 		return nil, err
 	}
@@ -122,8 +143,8 @@ func recvMsg(m Messenger, want byte) ([]byte, error) {
 }
 
 // recvEither accepts one of two message types.
-func recvEither(m Messenger, a, b byte) (byte, []byte, error) {
-	p, err := m.Recv()
+func (l *link) recvEither(a, b byte) (byte, []byte, error) {
+	p, err := l.m.Recv()
 	if err != nil {
 		return 0, nil, err
 	}
@@ -133,30 +154,35 @@ func recvEither(m Messenger, a, b byte) (byte, []byte, error) {
 	return p[0], p[1:], nil
 }
 
+// appendBitmap appends n zero bits, packed LSB-first as
+// bitarray.Bytes packs them, and returns the extended message and the
+// bitmap's bytes for the caller to set.
+func appendBitmap(dst []byte, n int) (msg, bitmap []byte) {
+	start := len(dst)
+	dst = append(dst, make([]byte, (n+7)/8)...)
+	return dst, dst[start:]
+}
+
+// bitAt returns bit i of a bitmap packed as appendBitmap packs it.
+func bitAt(bitmap []byte, i int) int { return int(bitmap[i>>3] >> (i & 7) & 1) }
+
 // subsetState is the word-parallel view of one LFSR parity subset: the
 // batched mask, a rank index over its members, and a parity index bound
-// to whichever key snapshot the holder last called bind with. States
-// are recycled through a sync.Pool — core's engines distill fixed-size
-// batches, so after warmup every round's masks, rank tables and parity
-// prefixes land in right-sized buffers with no allocation.
+// to whichever key snapshot the holder last called bind with.
 type subsetState struct {
 	words []uint64
-	mask  *bitarray.BitArray
+	mask  bitarray.BitArray
 	rank  bitarray.Rank
 	px    bitarray.ParityIndex
 }
 
-var subsetPool = sync.Pool{New: func() interface{} { return new(subsetState) }}
-
-// getSubset materializes the subset for seed over n bits from pooled
-// storage: the LFSR runs 64 bits per step and the rank index is built
-// from word popcounts.
-func getSubset(seed uint32, n int) *subsetState {
-	s := subsetPool.Get().(*subsetState)
+// build materializes the subset for seed over n bits in s's storage:
+// the LFSR runs 64 bits per step and the rank index is built from word
+// popcounts.
+func (s *subsetState) build(seed uint32, n int) {
 	s.words = rng.MaskWords(seed, n, s.words)
-	s.mask = bitarray.FromWords(s.words, n)
-	s.rank.Build(s.mask)
-	return s
+	s.mask = *bitarray.FromWords(s.words, n)
+	s.rank.Build(&s.mask)
 }
 
 // bind refreshes the parity index over the given key snapshot.
@@ -164,17 +190,13 @@ func (s *subsetState) bind(key *bitarray.BitArray) {
 	s.rank.Bind(key, &s.px)
 }
 
-func putSubset(s *subsetState) { subsetPool.Put(s) }
-
-// hello exchanges and validates the key length.
-func sendHello(m Messenger, n int) error {
-	b := make([]byte, 4)
-	binary.LittleEndian.PutUint32(b, uint32(n))
-	return sendMsg(m, msgHello, b)
+// sendHello and recvHello exchange and validate the key length.
+func (l *link) sendHello(n int) error {
+	return l.send(binary.LittleEndian.AppendUint32(l.start(msgHello), uint32(n)))
 }
 
-func recvHello(m Messenger, n int) error {
-	body, err := recvMsg(m, msgHello)
+func (l *link) recvHello(n int) error {
+	body, err := l.recv(msgHello)
 	if err != nil {
 		return err
 	}
@@ -207,60 +229,110 @@ func NewBBN(seed uint64) *BBN {
 // Name implements Protocol.
 func (c *BBN) Name() string { return fmt.Sprintf("bbn-cascade-%d", c.Subsets) }
 
+// bbnRun is one BBN run's state on either side: its link, the round's
+// subsets, and the corrector's per-round bookkeeping. Runs recycle it
+// through bbnRuns rather than keeping it in the BBN, which core builds
+// afresh for every batch; core's batches are one size, so after warmup
+// every buffer is already the size a round needs.
+type bbnRun struct {
+	link
+	subs     []*subsetState
+	seeds    []uint32 // the round's subset seeds, in subset order
+	next     int      // reference: where lookup resumes
+	diff     []uint8  // corrector: own XOR reference parity, per subset
+	flips    []uint64 // corrector: bits a wave flipped
+	nz       []int    // corrector: flips' nonzero words
+	searches []searchState
+}
+
+var bbnRuns = sync.Pool{New: func() any { return new(bbnRun) }}
+
+func getBBNRun(m Messenger) *bbnRun {
+	r := bbnRuns.Get().(*bbnRun)
+	r.m = m
+	return r
+}
+
+func (r *bbnRun) release() {
+	r.m = nil
+	bbnRuns.Put(r)
+}
+
+// subsets returns storage for a round of count subsets.
+func (r *bbnRun) subsets(count int) []*subsetState {
+	for len(r.subs) < count {
+		r.subs = append(r.subs, new(subsetState))
+	}
+	return r.subs[:count]
+}
+
+// lookup returns the round's subset with the given seed, or nil. The
+// corrector sends its queries in subset order, so resuming the scan
+// after the previous hit finds each within a step or two.
+func (r *bbnRun) lookup(seed uint32) *subsetState {
+	for range r.seeds {
+		if r.next >= len(r.seeds) {
+			r.next = 0
+		}
+		i := r.next
+		r.next++
+		if r.seeds[i] == seed {
+			return r.subs[i]
+		}
+	}
+	return nil
+}
+
+// parity and member make a run the searchIndex of its waves: a
+// search's src is its subset's position in the round.
+func (r *bbnRun) parity(src, lo, hi int) int { return r.subs[src].px.ParityRange(lo, hi) }
+func (r *bbnRun) member(src, k int) int      { return r.subs[src].rank.Select(k) }
+
 // RunReference implements Protocol.
 func (c *BBN) RunReference(m Messenger, key *bitarray.BitArray) (int, error) {
+	r := getBBNRun(m)
+	defer r.release()
 	n := key.Len()
-	if err := recvHello(m, n); err != nil {
+	if err := r.recvHello(n); err != nil {
 		return 0, err
 	}
 	disclosed := 0
 	for round := 0; round < c.MaxRounds; round++ {
 		// Announce this round's subsets and our parities. The key never
 		// changes on this side, so each subset's parity index is bound
-		// once and answers every dichotomic query of the round in O(log)
-		// word lookups.
-		seeds := make([]uint32, c.Subsets)
-		out := make([]byte, 4+c.Subsets*4+(c.Subsets+7)/8)
-		binary.LittleEndian.PutUint32(out[0:], uint32(c.Subsets))
-		par := bitarray.New(c.Subsets)
-		cache := make(map[uint32]*subsetState, c.Subsets)
-		for i := range seeds {
-			seeds[i] = c.seedRand.Uint32()
-			if seeds[i] == 0 {
-				seeds[i] = 1
+		// once and answers every dichotomic query of the round.
+		subs := r.subsets(c.Subsets)
+		r.seeds = r.seeds[:0]
+		out := binary.LittleEndian.AppendUint32(r.start(msgSubsets), uint32(c.Subsets))
+		for _, s := range subs {
+			seed := c.seedRand.Uint32()
+			if seed == 0 {
+				seed = 1
 			}
-			binary.LittleEndian.PutUint32(out[4+4*i:], seeds[i])
-			s, ok := cache[seeds[i]]
-			if !ok {
-				s = getSubset(seeds[i], n)
-				s.bind(key)
-				cache[seeds[i]] = s
-			}
-			if s.px.ParityRange(0, s.rank.Count()) == 1 {
-				par.Set(i, 1)
-			}
+			out = binary.LittleEndian.AppendUint32(out, seed)
+			r.seeds = append(r.seeds, seed)
+			s.build(seed, n)
+			s.bind(key)
 		}
-		copy(out[4+4*c.Subsets:], par.Bytes())
-		if err := sendMsg(m, msgSubsets, out); err != nil {
+		out, par := appendBitmap(out, c.Subsets)
+		for i, s := range subs {
+			par[i>>3] |= byte(s.px.ParityRange(0, s.rank.Count())) << (i & 7)
+		}
+		if err := r.send(out); err != nil {
 			return disclosed, err
 		}
 		disclosed += c.Subsets
 
-		d, finished, err := serveRound(m, func(seed uint32, lo, hi int) (int, error) {
-			s, ok := cache[seed]
-			if !ok {
-				s = getSubset(seed, n)
-				s.bind(key)
-				cache[seed] = s
+		d, finished, err := r.serveRound(func(seed uint32, lo, hi int) (int, error) {
+			s := r.lookup(seed)
+			if s == nil {
+				return 0, fmt.Errorf("%w: query for unannounced subset %#x", errProtocol, seed)
 			}
 			if lo < 0 || hi > s.rank.Count() || lo >= hi {
 				return 0, fmt.Errorf("%w: query range [%d,%d) of %d", errProtocol, lo, hi, s.rank.Count())
 			}
 			return s.px.ParityRange(lo, hi), nil
 		})
-		for _, s := range cache {
-			putSubset(s)
-		}
 		disclosed += d
 		if err != nil {
 			return disclosed, err
@@ -274,16 +346,20 @@ func (c *BBN) RunReference(m Messenger, key *bitarray.BitArray) (int, error) {
 
 // RunCorrect implements Protocol.
 func (c *BBN) RunCorrect(m Messenger, key *bitarray.BitArray) (*Result, error) {
+	r := getBBNRun(m)
+	defer r.release()
 	work := key.Clone()
 	n := work.Len()
-	if err := sendHello(m, n); err != nil {
+	if err := r.sendHello(n); err != nil {
 		return nil, err
 	}
+	r.flips = append(r.flips[:0], make([]uint64, (n+63)/64)...)
+	flips := bitarray.FromWords(r.flips, n)
 
 	res := &Result{Corrected: work}
 	for round := 0; round < c.MaxRounds; round++ {
 		res.Rounds = round + 1
-		body, err := recvMsg(m, msgSubsets)
+		body, err := r.recv(msgSubsets)
 		if err != nil {
 			return nil, err
 		}
@@ -291,35 +367,32 @@ func (c *BBN) RunCorrect(m Messenger, key *bitarray.BitArray) (*Result, error) {
 			return nil, fmt.Errorf("%w: short subsets message", errProtocol)
 		}
 		count := int(binary.LittleEndian.Uint32(body))
-		if count <= 0 || len(body) < 4+4*count+(count+7)/8 {
+		if count <= 0 || count > (len(body)-4)/4 || len(body) < 4+4*count+(count+7)/8 {
 			return nil, fmt.Errorf("%w: truncated subsets message", errProtocol)
 		}
-		seeds := make([]uint32, count)
-		subs := make([]*subsetState, count)
-		refPar := bitarray.FromBytes(body[4+4*count:])
+		subs := r.subsets(count)
+		r.seeds = r.seeds[:0]
+		refPar := body[4+4*count:]
 		res.Disclosed += count
 		// diff[i] = our parity XOR reference parity for subset i.
-		diff := make([]int, count)
-		mismatches := 0
-		for i := range seeds {
-			seeds[i] = binary.LittleEndian.Uint32(body[4+4*i:])
-			subs[i] = getSubset(seeds[i], n)
-			diff[i] = work.ParityMasked(subs[i].mask) ^ refPar.Get(i)
-			mismatches += diff[i]
+		if cap(r.diff) < count {
+			r.diff = make([]uint8, count)
 		}
-		recycle := func() {
-			for _, s := range subs {
-				putSubset(s)
-			}
+		diff := r.diff[:count]
+		mismatches := 0
+		for i, s := range subs {
+			r.seeds = append(r.seeds, binary.LittleEndian.Uint32(body[4+4*i:]))
+			s.build(r.seeds[i], n)
+			diff[i] = uint8(work.ParityMasked(&s.mask) ^ bitAt(refPar, i))
+			mismatches += int(diff[i])
 		}
 
 		if mismatches == 0 {
 			// Clean round: declare completion.
-			recycle()
-			if err := sendMsg(m, msgRoundDone, []byte{1}); err != nil {
+			if err := r.send(append(r.start(msgRoundDone), 1)); err != nil {
 				return nil, err
 			}
-			if err := sendMsg(m, msgFinish, nil); err != nil {
+			if err := r.send(r.start(msgFinish)); err != nil {
 				return nil, err
 			}
 			return res, nil
@@ -330,31 +403,22 @@ func (c *BBN) RunCorrect(m Messenger, key *bitarray.BitArray) (*Result, error) {
 		// current work snapshot, then the post-flip bookkeeping updates
 		// every subset's diff with one sparse word-parity per subset
 		// instead of a per-flip per-subset bit probe.
-		flips := bitarray.New(n)
-		var nz []int
 		for mismatches > 0 {
-			var searches []*searchState
+			searches := r.searches[:0]
 			for i, d := range diff {
 				if d != 1 {
 					continue
 				}
 				s := subs[i]
 				if s.rank.Count() == 0 {
-					recycle()
 					return nil, fmt.Errorf("%w: mismatched empty subset", errProtocol)
 				}
 				s.bind(work)
-				searches = append(searches, &searchState{
-					key:    seeds[i],
-					lo:     0,
-					hi:     s.rank.Count(),
-					parity: s.px.ParityRange,
-					member: s.rank.Select,
-				})
+				searches = append(searches, searchState{key: r.seeds[i], src: i, hi: s.rank.Count()})
 			}
-			bits, d, err := runWave(m, searches)
+			r.searches = searches
+			bits, d, err := r.runWave(r, searches)
 			if err != nil {
-				recycle()
 				return nil, err
 			}
 			res.Disclosed += d
@@ -363,19 +427,17 @@ func (c *BBN) RunCorrect(m Messenger, key *bitarray.BitArray) (*Result, error) {
 				res.Flips++
 				flips.Set(b, 1)
 			}
-			nz = flips.NonzeroWords(nz[:0])
+			r.nz = flips.NonzeroWords(r.nz[:0])
 			mismatches = 0
-			for i := range subs {
-				diff[i] ^= flips.ParityMaskedAt(subs[i].mask, nz)
-				mismatches += diff[i]
+			for i, s := range subs {
+				diff[i] ^= uint8(flips.ParityMaskedAt(&s.mask, r.nz))
+				mismatches += int(diff[i])
 			}
-			fw := flips.Words()
-			for _, w := range nz {
-				fw[w] = 0
+			for _, w := range r.nz {
+				r.flips[w] = 0
 			}
 		}
-		recycle()
-		if err := sendMsg(m, msgRoundDone, []byte{0}); err != nil {
+		if err := r.send(append(r.start(msgRoundDone), 0)); err != nil {
 			return nil, err
 		}
 	}

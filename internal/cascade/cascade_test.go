@@ -2,6 +2,7 @@ package cascade
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -335,15 +336,90 @@ func TestPropertyDisclosedSymmetry(t *testing.T) {
 	}
 }
 
+// countingMessenger counts the messages sent through it.
+type countingMessenger struct {
+	Messenger
+	sent *atomic.Int64
+}
+
+func (c countingMessenger) Send(p []byte) error {
+	c.sent.Add(1)
+	return c.Messenger.Send(p)
+}
+
+// TestBBNAllocs pins BBN's steady state: one 4096-bit batch at 5 %
+// QBER, both sides together, allocates only per-run values — the
+// protocol, the corrected copy, the Result and the reference's
+// goroutine — and nothing per round, wave or message beyond the test
+// messenger's own copy of each message, which is discounted. The run
+// state comes from a sync.Pool, which drops Puts at random under the
+// race detector, so race builds skip the pin.
+func TestBBNAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	const bound = 64
+	ref, noisy := noisyPair(1002, 4096, 204)
+	var sent atomic.Int64
+	ma, mb := memPair()
+	ma, mb = countingMessenger{ma, &sent}, countingMessenger{mb, &sent}
+	errc := make(chan error, 1)
+	batch := func() {
+		p := NewBBN(42)
+		go func() {
+			_, err := p.RunReference(ma, ref)
+			errc <- err
+		}()
+		res, err := p.RunCorrect(mb, noisy)
+		if refErr := <-errc; err == nil {
+			err = refErr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Corrected.Equal(ref) {
+			t.Fatal("batch not corrected")
+		}
+	}
+	for i := 0; i < 3; i++ {
+		batch()
+	}
+	sent.Store(0)
+	const runs = 10
+	allocs := testing.AllocsPerRun(runs, batch)
+	msgs := float64(sent.Load()) / (runs + 1) // AllocsPerRun adds a warm-up call
+	got := allocs - msgs
+	t.Logf("BBN batch: %.0f allocations beyond %.0f message copies", got, msgs)
+	if got > bound {
+		t.Errorf("BBN batch: %.0f allocations beyond %.0f message copies, want <= %d", got, msgs, bound)
+	}
+}
+
 func BenchmarkBBN4096QBER5(b *testing.B) {
 	n := 4096
 	errs := n * 5 / 100
+	type pair struct{ ref, noisy *bitarray.BitArray }
+	inputs := make([]pair, 16)
+	for i := range inputs {
+		inputs[i].ref, inputs[i].noisy = noisyPair(uint64(i), n, errs)
+	}
+	ma, mb := memPair()
+	errc := make(chan error, 1)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ref, noisy := noisyPair(uint64(i), n, errs)
+		in := inputs[i%len(inputs)]
 		p := NewBBN(uint64(i))
-		ma, mb := memPair()
-		go p.RunReference(ma, ref)
-		if _, err := p.RunCorrect(mb, noisy); err != nil {
+		go func() {
+			_, err := p.RunReference(ma, in.ref)
+			errc <- err
+		}()
+		_, err := p.RunCorrect(mb, in.noisy)
+		// The next batch shares the messengers, so this one's reference
+		// must have read its last message first.
+		if refErr := <-errc; err == nil {
+			err = refErr
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

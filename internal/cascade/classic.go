@@ -73,22 +73,22 @@ func permFor(pass int, seed uint64, n int) []int {
 	return perm
 }
 
-// classicStart is the reference's opening message:
+// appendClassicStart appends the reference's opening message:
 // k1 uint32 | passes uint32 | seed[1..passes-1] uint64 each.
-func encodeClassicStart(k1, passes int, seeds []uint64) []byte {
-	b := make([]byte, 8+8*len(seeds))
-	binary.LittleEndian.PutUint32(b[0:], uint32(k1))
-	binary.LittleEndian.PutUint32(b[4:], uint32(passes))
-	for i, s := range seeds {
-		binary.LittleEndian.PutUint64(b[8+8*i:], s)
+func appendClassicStart(dst []byte, k1, passes int, seeds []uint64) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(k1))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(passes))
+	for _, s := range seeds {
+		dst = binary.LittleEndian.AppendUint64(dst, s)
 	}
-	return b
+	return dst
 }
 
 // RunReference implements Protocol.
 func (c *Classic) RunReference(m Messenger, key *bitarray.BitArray) (int, error) {
+	l := &link{m: m}
 	n := key.Len()
-	if err := recvHello(m, n); err != nil {
+	if err := l.recvHello(n); err != nil {
 		return 0, err
 	}
 
@@ -97,7 +97,7 @@ func (c *Classic) RunReference(m Messenger, key *bitarray.BitArray) (int, error)
 	for i := range seeds {
 		seeds[i] = c.seedRand.Uint64()
 	}
-	if err := sendMsg(m, msgPassStart, encodeClassicStart(k1, c.Passes, seeds)); err != nil {
+	if err := l.send(appendClassicStart(l.start(msgPassStart), k1, c.Passes, seeds)); err != nil {
 		return 0, err
 	}
 
@@ -128,13 +128,13 @@ func (c *Classic) RunReference(m Messenger, key *bitarray.BitArray) (int, error)
 				par.Set(b, 1)
 			}
 		}
-		if err := sendMsg(m, msgBlocks, par.Bytes()); err != nil {
+		if err := l.send(append(l.start(msgBlocks), par.Bytes()...)); err != nil {
 			return disclosed, err
 		}
 		disclosed += blocks
 
 		cur := pass
-		d, finished, err := serveRound(m, func(qp uint32, lo, hi int) (int, error) {
+		d, finished, err := l.serveRound(func(qp uint32, lo, hi int) (int, error) {
 			if int(qp) > cur || lo < 0 || hi > n || lo >= hi {
 				return 0, fmt.Errorf("%w: classic query out of range", errProtocol)
 			}
@@ -174,14 +174,22 @@ func (st *passState) member(r int) int {
 	return st.perm[r]
 }
 
+// passList is the corrector's started passes, the searchIndex of its
+// waves: a search's src is its pass.
+type passList []*passState
+
+func (ps *passList) parity(src, lo, hi int) int { return (*ps)[src].pp.Range(lo, hi) }
+func (ps *passList) member(src, r int) int      { return (*ps)[src].member(r) }
+
 // RunCorrect implements Protocol.
 func (c *Classic) RunCorrect(m Messenger, key *bitarray.BitArray) (*Result, error) {
+	l := &link{m: m}
 	work := key.Clone()
 	n := work.Len()
-	if err := sendHello(m, n); err != nil {
+	if err := l.sendHello(n); err != nil {
 		return nil, err
 	}
-	body, err := recvMsg(m, msgPassStart)
+	body, err := l.recv(msgPassStart)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +207,7 @@ func (c *Classic) RunCorrect(m Messenger, key *bitarray.BitArray) (*Result, erro
 	}
 
 	res := &Result{Corrected: work}
-	states := make([]*passState, 0, passes)
+	states := make(passList, 0, passes)
 
 	type pb struct{ pass, block int }
 	var queue []pb
@@ -230,7 +238,7 @@ func (c *Classic) RunCorrect(m Messenger, key *bitarray.BitArray) (*Result, erro
 		for len(queue) > 0 {
 			seen := make(map[pb]bool)
 			rebound := make(map[int]bool)
-			var searches []*searchState
+			var searches []searchState
 			for _, item := range queue {
 				st := states[item.pass]
 				if seen[item] || st.diff[item.block] != 1 {
@@ -246,17 +254,13 @@ func (c *Classic) RunCorrect(m Messenger, key *bitarray.BitArray) (*Result, erro
 				if hi > n {
 					hi = n
 				}
-				searches = append(searches, &searchState{
-					key: uint32(item.pass), lo: lo, hi: hi,
-					parity: st.pp.Range,
-					member: st.member,
-				})
+				searches = append(searches, searchState{key: uint32(item.pass), src: item.pass, lo: lo, hi: hi})
 			}
 			queue = queue[:0]
 			if len(searches) == 0 {
 				return nil
 			}
-			bits, d, err := runWave(m, searches)
+			bits, d, err := l.runWave(&states, searches)
 			if err != nil {
 				return err
 			}
@@ -290,7 +294,7 @@ func (c *Classic) RunCorrect(m Messenger, key *bitarray.BitArray) (*Result, erro
 		st := &passState{perm: perm, invPerm: inv, k: k, diff: make([]int, blocks)}
 		states = append(states, st)
 
-		body, err := recvMsg(m, msgBlocks)
+		body, err := l.recv(msgBlocks)
 		if err != nil {
 			return nil, err
 		}
@@ -318,11 +322,11 @@ func (c *Classic) RunCorrect(m Messenger, key *bitarray.BitArray) (*Result, erro
 		if pass == passes-1 {
 			done = 1
 		}
-		if err := sendMsg(m, msgRoundDone, []byte{done}); err != nil {
+		if err := l.send(append(l.start(msgRoundDone), done)); err != nil {
 			return nil, err
 		}
 	}
-	if err := sendMsg(m, msgFinish, nil); err != nil {
+	if err := l.send(l.start(msgFinish)); err != nil {
 		return nil, err
 	}
 	return res, nil

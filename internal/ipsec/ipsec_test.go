@@ -883,6 +883,72 @@ func TestSupersededSADrainsThenRefuses(t *testing.T) {
 	}
 }
 
+// TestOpenReadsNoClockOnByteLifetime pins that an SA no time can
+// retire — a byte lifetime, not superseded — opens without reading its
+// clock, through Open and through the gateway's batched inbound path.
+func TestOpenReadsNoClockOnByteLifetime(t *testing.T) {
+	reads := 0
+	clock := func() time.Time {
+		reads++
+		return time.Unix(7000, 0)
+	}
+	life := Lifetime{Bytes: 1 << 20}
+	key := randKey(SuiteAES128CTR.KeyBits()/8, 41)
+	newPair := func(spi uint32) (*SA, *SA) {
+		tx, err := NewSA(spi, SuiteAES128CTR, key, life)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rx, err := NewSA(spi, SuiteAES128CTR, key, life)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rx.SetClock(clock)
+		return tx, rx
+	}
+
+	tx, rx := newPair(610)
+	blob, err := tx.Seal([]byte("byte lifetime"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads = 0
+	if _, err := rx.Open(blob); err != nil {
+		t.Fatal(err)
+	}
+	if reads != 0 {
+		t.Errorf("Open read the clock %d times, want 0", reads)
+	}
+
+	pol := &Policy{Name: "a-to-b", Action: Protect, Suite: SuiteAES128CTR,
+		PeerGW: MustAddr("192.1.99.35"),
+		Sel:    Selector{Src: MustPrefix("10.1.0.0/16"), Dst: MustPrefix("10.2.0.0/16")}}
+	gwA := NewGateway(MustAddr("192.1.99.34"), NewSPD(pol))
+	gwB := NewGateway(MustAddr("192.1.99.35"), NewSPD(pol))
+	out, in := newPair(611)
+	gwA.SAD.InstallOutbound(pol.Name, out)
+	gwB.SAD.InstallInboundFor(pol.Name, Addr{}, in)
+	const burst = 8
+	pkts := make([]*Packet, burst)
+	for i := range pkts {
+		if pkts[i], err = gwA.ProcessOutbound(&Packet{Src: MustAddr("10.1.0.5"),
+			Dst: MustAddr("10.2.0.9"), Proto: ProtoPing, Payload: []byte("batched")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := NewBatch()
+	defer b.Release()
+	reads = 0
+	for i, res := range gwB.ProcessInboundBatch(b, pkts) {
+		if res.Err != nil {
+			t.Fatalf("packet %d: %v", i, res.Err)
+		}
+	}
+	if reads != 0 {
+		t.Errorf("ProcessInboundBatch read the clock %d times for %d packets, want 0", reads, burst)
+	}
+}
+
 func BenchmarkSealAES1500(b *testing.B) {
 	key := randKey(SuiteAES128CTR.KeyBits()/8, 1)
 	sa, _ := NewSA(1, SuiteAES128CTR, key, Lifetime{})

@@ -298,10 +298,16 @@ func (sa *SA) Superseded() bool {
 func (sa *SA) Retired() bool {
 	sa.mu.Lock()
 	defer sa.mu.Unlock()
-	return sa.retiredLocked(sa.now())
+	return sa.retiredLocked()
 }
 
-func (sa *SA) retiredLocked(now time.Time) bool {
+// retiredLocked reads the clock only for an SA that a time can retire,
+// as expiredLocked does: Open runs it for every packet.
+func (sa *SA) retiredLocked() bool {
+	if !sa.superseded && sa.Life.Duration <= 0 {
+		return false
+	}
+	now := sa.now()
 	if sa.superseded && now.After(sa.retireAt) {
 		return true
 	}
@@ -478,7 +484,7 @@ func (sa *SA) openAppendLocked(dst, blob []byte) ([]byte, error) {
 	if spi != sa.SPI {
 		return dst, fmt.Errorf("%w: %#x", ErrUnknownSPI, spi)
 	}
-	if sa.retiredLocked(sa.now()) {
+	if sa.retiredLocked() {
 		return dst, ErrExpired
 	}
 	if sa.Life.Bytes > 0 && sa.bytesOpened >= sa.Life.Bytes {

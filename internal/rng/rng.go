@@ -54,42 +54,41 @@ func (l *LFSR32) Next() int {
 // State returns the current register contents.
 func (l *LFSR32) State() uint32 { return l.state }
 
-// The Galois update is linear over GF(2), so eight steps collapse into
-// a table lookup: the next eight output bits and the eight-step state
-// transition both depend only on the low byte of the state (a bit at
-// position p >= 8 cannot reach the output tap, nor trigger feedback,
-// within eight shifts). lfsrOut[b] holds the eight output bits produced
-// from a state with low byte b; lfsrAdv[b] the feedback the eight steps
-// fold into the shifted state: F^8(s) = (s >> 8) ^ lfsrAdv[s & 0xff].
+// The Galois update is linear over GF(2), and so is the output tap: the
+// 64 output bits of the next 64 steps, and the state 64 steps on, are
+// both linear functions of the 32-bit state. Split the state into four
+// bytes and each function is the XOR of four byte-indexed table rows:
+// jumpOut[k][b] holds the 64 output bits, and jumpState[k][b] the state
+// after 64 steps, from a register holding b in byte k and zero
+// elsewhere. A word of LFSR output then costs four loads, none of
+// which waits on another.
 var (
-	lfsrOut [256]uint8
-	lfsrAdv [256]uint32
+	jumpOut   [4][256]uint64
+	jumpState [4][256]uint32
 )
 
 func init() {
-	for b := 0; b < 256; b++ {
-		l := LFSR32{state: uint32(b)}
-		var out uint8
-		for i := 0; i < 8; i++ {
-			out |= uint8(l.Next()) << i
+	for k := 0; k < 4; k++ {
+		for b := 0; b < 256; b++ {
+			l := LFSR32{state: uint32(b) << (8 * k)}
+			var out uint64
+			for i := 0; i < 64; i++ {
+				out |= uint64(l.Next()) << i
+			}
+			jumpOut[k][b] = out
+			jumpState[k][b] = l.state
 		}
-		lfsrOut[b] = out
-		lfsrAdv[b] = l.state
 	}
 }
 
 // NextWord advances the register 64 steps and returns the 64 output
 // bits, LSB-first — the word-batched equivalent of 64 calls to Next.
+// Its body sits at the compiler's inlining budget, so MaskWords' loop
+// keeps the state in a register with no call per word.
 func (l *LFSR32) NextWord() uint64 {
-	s := l.state
-	var w uint64
-	for i := 0; i < 8; i++ {
-		b := s & 0xff
-		w |= uint64(lfsrOut[b]) << (8 * i)
-		s = s>>8 ^ lfsrAdv[b]
-	}
-	l.state = s
-	return w
+	b0, b1, b2, b3 := uint8(l.state), uint8(l.state>>8), uint8(l.state>>16), l.state>>24
+	l.state = jumpState[0][b0] ^ jumpState[1][b1] ^ jumpState[2][b2] ^ jumpState[3][b3]
+	return jumpOut[0][b0] ^ jumpOut[1][b1] ^ jumpOut[2][b2] ^ jumpOut[3][b3]
 }
 
 // Mask generates an n-bit pseudo-random mask: bit i is the i-th output

@@ -318,6 +318,39 @@ func TestNextWordMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestNextWordJumpFromManyStates pins the 64-step jump tables against
+// the scalar register: from every single-bit state, from every byte
+// value in every byte position (which reads each table row once beside
+// three zero rows), and from 1,000 random states.
+func TestNextWordJumpFromManyStates(t *testing.T) {
+	var states []uint32
+	for i := 0; i < 32; i++ {
+		states = append(states, 1<<i)
+	}
+	for k := 0; k < 4; k++ {
+		for v := uint32(1); v < 256; v++ {
+			states = append(states, v<<(8*k))
+		}
+	}
+	r := NewSplitMix64(2024)
+	for i := 0; i < 1000; i++ {
+		states = append(states, r.Uint32())
+	}
+	for _, s := range states {
+		a, b := LFSR32{state: s}, LFSR32{state: s}
+		var want uint64
+		for i := 0; i < 64; i++ {
+			want |= uint64(a.Next()) << i
+		}
+		if got := b.NextWord(); got != want {
+			t.Fatalf("state %#x: NextWord %#x, scalar %#x", s, got, want)
+		}
+		if a.State() != b.State() {
+			t.Fatalf("state %#x: jumped to %#x, scalar %#x", s, b.State(), a.State())
+		}
+	}
+}
+
 // TestMaskWordsMatchesScalarMask pins MaskWords (and therefore Mask)
 // against a per-bit scalar construction at awkward lengths.
 func TestMaskWordsMatchesScalarMask(t *testing.T) {
