@@ -1,6 +1,8 @@
 package auth
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -41,6 +43,37 @@ func TestTagVerifyRoundTrip(t *testing.T) {
 		if err := receiver.Verify(msg, tag); err != nil {
 			t.Fatalf("Verify(%q): %v", msg, err)
 		}
+	}
+}
+
+// TestTagPinned pins the tag bytes: the SHA-256 of the tags one MAC
+// computes over a fixed pool for messages of 0 to 40 bytes and one of
+// 1 KiB, so the hashed message ends at every length mod 8. A
+// Tag/Verify round trip cannot catch a hash that both ends compute
+// wrong the same way; this digest can.
+func TestTagPinned(t *testing.T) {
+	const want = "ea109d9bab3ce8ea86a453ca0401d65e570f75da93e6ff323054de3d31596875"
+	pool, _ := mirroredPools(16, 64+42*64)
+	m, err := NewMAC(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := rng.NewSplitMix64(17).Bits(8 * 1024).Bytes()
+	var lengths []int
+	for n := 0; n <= 40; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 1024)
+	h := sha256.New()
+	for _, n := range lengths {
+		tag, err := m.Tag(msg[:n])
+		if err != nil {
+			t.Fatalf("%d B: Tag: %v", n, err)
+		}
+		h.Write(tag[:])
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("tag digest %s, want %s", got, want)
 	}
 }
 

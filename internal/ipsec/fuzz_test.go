@@ -6,7 +6,9 @@ import (
 	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha1"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"testing"
 )
@@ -112,6 +114,37 @@ func TestSealAESWireBytes(t *testing.T) {
 				t.Errorf("IV %016x%016x: keystream differs from cipher.NewCTR", hi, lo)
 			}
 		}
+	}
+}
+
+// TestOTPWirePinned pins the OTP suite's wire bytes: the SHA-256 of
+// the packets one SA seals from a fixed pad and SPI. A round trip
+// cannot catch a Wegman-Carter hash that both ends compute wrong the
+// same way; this digest can. The payloads run from 0 to 40 bytes and
+// then 1400, so the tagged span (16-byte header plus payload) ends at
+// every length mod 8.
+func TestOTPWirePinned(t *testing.T) {
+	const want = "5042f3d645f20f6dbfd405b27ec748d82de14a86eb6f1392472acd718c145dcf"
+	tx, err := NewOTPSA(0x07a9, randKey(8+4096, 41), Lifetime{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := randKey(1400, 42)
+	var lengths []int
+	for n := 0; n <= 40; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 1400)
+	h := sha256.New()
+	for _, n := range lengths {
+		blob, err := tx.Seal(payload[:n])
+		if err != nil {
+			t.Fatalf("%d B: Seal: %v", n, err)
+		}
+		h.Write(blob)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("OTP wire digest %s, want %s", got, want)
 	}
 }
 
