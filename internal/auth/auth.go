@@ -4,11 +4,11 @@
 //
 // Alice and Bob preposition a small shared secret key. Each message tag
 // is h_k(m) XOR r, where h is drawn from an XOR-universal hash family
-// (polynomial evaluation over GF(2^64)) and r is a fresh 64-bit one-time
-// pad consumed from the shared pool per message. Against an adversary
-// with unlimited computing power the forgery probability per message is
-// bounded by len(m)/2^64 + 2^-64 — information-theoretic, as the threat
-// model of Section 6 demands.
+// (polynomial evaluation over GF(2^64), gf2.PolyHash) and r is a fresh
+// 64-bit one-time pad consumed from the shared pool per message.
+// Against an adversary with unlimited computing power the forgery
+// probability per message is bounded by len(m)/2^64 + 2^-64 —
+// information-theoretic, as the threat model of Section 6 demands.
 //
 // The pads cannot be reused ("the secret key bits cannot be re-used
 // even once on different data without compromising the security"), so
@@ -39,17 +39,6 @@ const TagSize = 8
 // have desynchronized.
 var ErrForged = errors.New("auth: tag verification failed")
 
-// field64 is GF(2^64), shared by all MACs.
-var field64 *gf2.Field
-
-func init() {
-	f, err := gf2.NewField(64)
-	if err != nil {
-		panic("auth: cannot construct GF(2^64): " + err.Error())
-	}
-	field64 = f
-}
-
 // MAC computes or verifies tags over one direction of a conversation.
 // The sender holds a MAC and calls Tag; the receiver holds a mirror MAC
 // (same pool contents, same order) and calls Verify. Both consume the
@@ -58,7 +47,7 @@ func init() {
 // A MAC is not safe for concurrent use; each protocol direction owns
 // one.
 type MAC struct {
-	key  uint64
+	hash *gf2.PolyHash
 	pool keypool.Source
 }
 
@@ -71,30 +60,7 @@ func NewMAC(pool keypool.Source) (*MAC, error) {
 	if err != nil {
 		return nil, fmt.Errorf("auth: drawing hash key: %w", err)
 	}
-	return &MAC{key: bits.Words()[0], pool: pool}, nil
-}
-
-// hash evaluates the polynomial hash of msg under the MAC key:
-// Horner's rule over 64-bit blocks with a length block appended,
-// all in GF(2^64).
-func (m *MAC) hash(msg []byte) uint64 {
-	k := []uint64{m.key}
-	acc := []uint64{0}
-	var block [8]byte
-	for off := 0; off < len(msg); off += 8 {
-		n := copy(block[:], msg[off:])
-		for i := n; i < 8; i++ {
-			block[i] = 0
-		}
-		acc = field64.Mul(acc, k)
-		acc[0] ^= binary.LittleEndian.Uint64(block[:])
-	}
-	// Length block forecloses padding ambiguity between messages that
-	// differ only in trailing zero bytes.
-	acc = field64.Mul(acc, k)
-	acc[0] ^= uint64(len(msg))
-	acc = field64.Mul(acc, k)
-	return acc[0]
+	return &MAC{hash: gf2.NewPolyHash(bits.Words()[0]), pool: pool}, nil
 }
 
 // Tag authenticates msg, consuming 64 bits of pad. It fails with the
@@ -105,7 +71,7 @@ func (m *MAC) Tag(msg []byte) ([TagSize]byte, error) {
 	if err != nil {
 		return tag, fmt.Errorf("auth: consuming tag pad: %w", err)
 	}
-	binary.LittleEndian.PutUint64(tag[:], m.hash(msg)^pad.Words()[0])
+	binary.LittleEndian.PutUint64(tag[:], m.hash.Sum(msg)^pad.Words()[0])
 	return tag, nil
 }
 
@@ -121,7 +87,7 @@ func (m *MAC) Verify(msg []byte, tag [TagSize]byte) error {
 	if err != nil {
 		return fmt.Errorf("auth: consuming verify pad: %w", err)
 	}
-	want := m.hash(msg) ^ pad.Words()[0]
+	want := m.hash.Sum(msg) ^ pad.Words()[0]
 	if binary.LittleEndian.Uint64(tag[:]) != want {
 		return ErrForged
 	}
@@ -192,6 +158,12 @@ func (c *Conn) recvCommon(recv func() (channel.Message, error)) (channel.Message
 		return channel.Message{}, err
 	}
 	if len(m.Payload) < TagSize {
+		// Too short to carry a tag, so there is nothing to verify; but
+		// the sender spent a pad on it, and so must Verify's mirror
+		// here, or every later message fails.
+		if _, err := c.recv.pool.TryConsume(PadBitsPerMessage); err != nil {
+			return channel.Message{}, fmt.Errorf("auth: consuming verify pad: %w", err)
+		}
 		c.Forgeries++
 		return channel.Message{}, ErrForged
 	}

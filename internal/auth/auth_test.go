@@ -9,6 +9,7 @@ import (
 
 	"qkd/internal/bitarray"
 	"qkd/internal/channel"
+	"qkd/internal/gf2"
 	"qkd/internal/keypool"
 	"qkd/internal/rng"
 )
@@ -239,6 +240,46 @@ func TestWrapConnDetectsMITM(t *testing.T) {
 	}
 }
 
+// TestWrapConnSurvivesTruncation: Eve cuts Alice's first message to 3
+// bytes, too short to carry a tag. Bob rejects it, but still spends the
+// pad Alice spent on it, so the messages after it verify.
+func TestWrapConnSurvivesTruncation(t *testing.T) {
+	cut := false
+	inner1, inner2 := channel.NewMITM(func(dir channel.Direction, m channel.Message) (channel.Message, bool) {
+		if dir == channel.AliceToBob && !cut {
+			cut = true
+			m.Payload = m.Payload[:3]
+		}
+		return m, false
+	})
+	poolAB1, poolAB2 := mirroredPools(19, 8192)
+	poolBA1, poolBA2 := mirroredPools(20, 8192)
+	alice, _ := Wrap(inner1, poolAB1, poolBA1)
+	bob, _ := Wrap(inner2, poolBA2, poolAB2)
+
+	if err := alice.Send(1, []byte("cut short")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bob.Recv(); !errors.Is(err, ErrForged) {
+		t.Fatalf("truncated message: err = %v, want ErrForged", err)
+	}
+	if bob.Forgeries != 1 {
+		t.Errorf("Forgeries = %d, want 1", bob.Forgeries)
+	}
+	for i := 0; i < 3; i++ {
+		if err := alice.Send(2, []byte("after the cut")); err != nil {
+			t.Fatal(err)
+		}
+		m, err := bob.Recv()
+		if err != nil {
+			t.Fatalf("message %d after the cut: %v", i+1, err)
+		}
+		if string(m.Payload) != "after the cut" {
+			t.Fatalf("message %d after the cut: got %q", i+1, m.Payload)
+		}
+	}
+}
+
 func TestWrapConnDetectsTypeRewrite(t *testing.T) {
 	inner1, inner2 := channel.NewMITM(func(dir channel.Direction, m channel.Message) (channel.Message, bool) {
 		if dir == channel.AliceToBob {
@@ -270,11 +311,41 @@ func TestHashDependsOnKey(t *testing.T) {
 	// A zero hash key maps every message to 0 — NewMAC must still work
 	// (universality holds over random keys; a zero draw is 2^-64), but
 	// distinct keys must give distinct hashes in general:
-	m1 := &MAC{key: 0x1234}
-	m2 := &MAC{key: 0x5678}
+	if _, err := NewMAC(p1); err != nil {
+		t.Fatalf("NewMAC with a zero key: %v", err)
+	}
+	m1 := &MAC{hash: gf2.NewPolyHash(0x1234)}
+	m2 := &MAC{hash: gf2.NewPolyHash(0x5678)}
 	msg := []byte("some message")
-	if m1.hash(msg) == m2.hash(msg) {
+	if m1.hash.Sum(msg) == m2.hash.Sum(msg) {
 		t.Error("different keys, same hash")
+	}
+}
+
+// TestTagAllocs pins that Tag allocates only its pad withdrawal: the
+// hash allocates nothing, whatever the message length.
+func TestTagAllocs(t *testing.T) {
+	const runs = 50
+	pool, _ := mirroredPools(18, 64+3*(runs+1)*64)
+	m, err := NewMAC(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := testing.AllocsPerRun(runs, func() {
+		if _, err := pool.TryConsume(64); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, n := range []int{16, 1024} {
+		msg := make([]byte, n)
+		got := testing.AllocsPerRun(runs, func() {
+			if _, err := m.Tag(msg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != pad {
+			t.Errorf("Tag of %d bytes: %.1f allocations, want the pad withdrawal's %.1f", n, got, pad)
+		}
 	}
 }
 

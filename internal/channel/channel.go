@@ -200,22 +200,6 @@ func Dial(addr string) (Conn, error) {
 	return WrapNet(c), nil
 }
 
-// Listen accepts exactly one connection on addr and returns it. It is
-// a convenience for the two-party tools; serious servers manage their
-// own listeners and call WrapNet.
-func Listen(addr string) (Conn, string, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, "", fmt.Errorf("channel: listen %s: %w", addr, err)
-	}
-	defer l.Close()
-	c, err := l.Accept()
-	if err != nil {
-		return nil, "", fmt.Errorf("channel: accept: %w", err)
-	}
-	return WrapNet(c), l.Addr().String(), nil
-}
-
 func (n *netConn) Send(msgType uint8, payload []byte) error {
 	if len(payload) > MaxMessage {
 		return ErrTooBig

@@ -16,6 +16,10 @@
 //
 // Elements are bit vectors packed LSB-first into []uint64 words,
 // compatible with package bitarray's layout.
+//
+// The package also holds the one Wegman-Carter hash, PolyHash: the
+// polynomial hash over GF(2^64) behind auth's message tags and the
+// ipsec OTP suite's packet tags.
 package gf2
 
 import (
@@ -233,16 +237,9 @@ func (f *Field) Square(a []uint64) []uint64 {
 	return f.reduce(sq)
 }
 
-// Mul64 returns a*b in a degree-64 field without allocating. The
-// slice-based Mul pays for a product slice and reduction scratch on
-// every call, which is fine for privacy amplification's batched
-// hashes but dominates per-packet message authentication (the ipsec
-// OTP suite calls into this field once per 8 message bytes). Only
-// valid for N == 64; other degrees panic.
-func (f *Field) Mul64(a, b uint64) uint64 {
-	if f.N != 64 {
-		panic("gf2: Mul64 requires a degree-64 field")
-	}
+// mul64 returns a*b in the degree-64 field without allocating; other
+// degrees get a wrong answer. NewPolyHash builds its tables with it.
+func (f *Field) mul64(a, b uint64) uint64 {
 	// 64x64 -> 128 carry-less multiply: 4-bit windowed comb over b
 	// against a stack table of the 16 nibble multiples of a.
 	var tl, th [16]uint64

@@ -375,34 +375,8 @@ func TestMul64MatchesMul(t *testing.T) {
 	}
 	for _, c := range cases {
 		want := f.Mul([]uint64{c.a}, []uint64{c.b})[0]
-		if got := f.Mul64(c.a, c.b); got != want {
-			t.Fatalf("Mul64(%#x, %#x) = %#x, Mul says %#x", c.a, c.b, got, want)
+		if got := f.mul64(c.a, c.b); got != want {
+			t.Fatalf("mul64(%#x, %#x) = %#x, Mul says %#x", c.a, c.b, got, want)
 		}
 	}
 }
-
-func TestMul64RequiresDegree64(t *testing.T) {
-	f, err := NewField(128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Mul64 on a degree-128 field should panic")
-		}
-	}()
-	f.Mul64(1, 1)
-}
-
-func BenchmarkMul64(b *testing.B) {
-	f, _ := NewField(64)
-	r := rng.NewSplitMix64(1)
-	x, y := r.Uint64(), r.Uint64()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		x = f.Mul64(x, y)
-	}
-	sinkUint64 = x
-}
-
-var sinkUint64 uint64

@@ -8,7 +8,6 @@ import (
 
 	"qkd/internal/bitarray"
 	"qkd/internal/ipsec"
-	"qkd/internal/keypool"
 	"qkd/internal/kms"
 )
 
@@ -321,17 +320,4 @@ func spiBytes(spi uint32) []byte {
 	b := make([]byte, 4)
 	binary.BigEndian.PutUint32(b, spi)
 	return b
-}
-
-// WaitAvailable blocks until the key supply holds at least bits, a
-// convenience for tests and experiments staging exhaustion.
-func WaitAvailable(pool keypool.Source, bits int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for pool.Available() < bits {
-		if time.Now().After(deadline) {
-			return ErrTimeout
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return nil
 }

@@ -211,29 +211,6 @@ func TestOTPPadExhaustion(t *testing.T) {
 	}
 }
 
-// TestWCHashTabMatchesReference pins the packet path's table-driven
-// Wegman-Carter hash to the slice-based reference: for the zero key,
-// the unit key and random keys, over random messages of every length
-// from 0 to 299 bytes, so every tail length mod 8 is covered many
-// times.
-func TestWCHashTabMatchesReference(t *testing.T) {
-	r := rng.NewSplitMix64(61)
-	keys := []uint64{0, 1}
-	for i := 0; i < 8; i++ {
-		keys = append(keys, r.Uint64())
-	}
-	msg := make([]byte, 299)
-	for _, key := range keys {
-		tab := buildWCTable(key)
-		for n := 0; n <= len(msg); n++ {
-			r.Bytes(msg[:n])
-			if got, want := wcHashTab(tab, msg[:n]), wcHash(key, msg[:n]); got != want {
-				t.Fatalf("key %#x, %d-byte message: table form %#x, reference %#x", key, n, got, want)
-			}
-		}
-	}
-}
-
 func TestTamperDetected(t *testing.T) {
 	for _, suite := range []CipherSuite{SuiteAES128CTR, Suite3DESCBC, SuiteNull} {
 		key := randKey(suite.KeyBits()/8, 5)

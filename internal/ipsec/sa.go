@@ -112,17 +112,6 @@ const (
 // the wire, short enough that an undead SA cannot serve stale key.
 const DefaultGrace = 2 * time.Second
 
-// field64 backs the OTP suite's Wegman-Carter tags.
-var field64 *gf2.Field
-
-func init() {
-	f, err := gf2.NewField(64)
-	if err != nil {
-		panic("ipsec: cannot construct GF(2^64): " + err.Error())
-	}
-	field64 = f
-}
-
 // SA is one unidirectional Security Association.
 type SA struct {
 	SPI     uint32
@@ -153,12 +142,11 @@ type SA struct {
 	maxSeq uint32
 	window uint64
 
-	// OTP state. wcTab is the per-key nibble table behind the
-	// Wegman-Carter hash (built once at construction, see buildWCTable).
+	// OTP state: the pad and the Wegman-Carter hash keyed by its first
+	// 8 bytes. Only OTP SAs allocate the hash's 2 KiB of tables.
 	pad     []byte
 	padUsed int
-	wcKey   uint64
-	wcTab   *[16][16]uint64
+	wc      *gf2.PolyHash
 
 	// now is injectable for lifetime tests.
 	now func() time.Time
@@ -224,12 +212,11 @@ func NewOTPSA(spi uint32, pad []byte, life Lifetime) (*SA, error) {
 		SPI:   spi,
 		Suite: SuiteOTP,
 		Life:  life,
-		wcKey: binary.LittleEndian.Uint64(pad[:8]),
+		wc:    gf2.NewPolyHash(binary.LittleEndian.Uint64(pad[:8])),
 		pad:   append([]byte(nil), pad[8:]...),
 		now:   time.Now,
 	}
 	sa.Created = sa.now()
-	sa.wcTab = buildWCTable(sa.wcKey)
 	return sa, nil
 }
 
@@ -400,7 +387,7 @@ func (sa *SA) sealAppendLocked(dst, payload []byte) ([]byte, error) {
 		binary.BigEndian.PutUint64(out[8:], uint64(offset))
 		subtle.XORBytes(out[16:16+len(payload)], payload, sa.pad[offset:offset+len(payload)])
 		tagPad := binary.LittleEndian.Uint64(sa.pad[offset+len(payload) : offset+len(payload)+8])
-		tag := wcHashTab(sa.wcTab, out[:16+len(payload)]) ^ tagPad
+		tag := sa.wc.Sum(out[:16+len(payload)]) ^ tagPad
 		binary.LittleEndian.PutUint64(out[16+len(payload):], tag)
 		sa.padUsed += need
 		sa.bytesSealed += uint64(len(payload))
@@ -507,7 +494,7 @@ func (sa *SA) openAppendLocked(dst, blob []byte) ([]byte, error) {
 			return dst, ErrPadExhaust
 		}
 		tagPad := binary.LittleEndian.Uint64(sa.pad[offset+uint64(len(ct)) : offset+uint64(len(ct))+8])
-		want := wcHashTab(sa.wcTab, blob[:len(blob)-otpTagLen]) ^ tagPad
+		want := sa.wc.Sum(blob[:len(blob)-otpTagLen]) ^ tagPad
 		got := binary.LittleEndian.Uint64(blob[len(blob)-otpTagLen:])
 		if want != got {
 			return dst, ErrIntegrity
@@ -612,71 +599,4 @@ func pkcs7Unpad(data []byte, block int) ([]byte, error) {
 		}
 	}
 	return data[:len(data)-n], nil
-}
-
-// wcHash is the GF(2^64) polynomial hash used for OTP integrity tags
-// (Horner over 8-byte little-endian blocks, zero-padded tail, length
-// mixed in last). This slice-based form is the reference the packet
-// path's table-driven wcHashTab is pinned against
-// (TestWCHashTabMatchesReference).
-func wcHash(key uint64, msg []byte) uint64 {
-	k := []uint64{key}
-	acc := []uint64{0}
-	var block [8]byte
-	for off := 0; off < len(msg); off += 8 {
-		n := copy(block[:], msg[off:])
-		for i := n; i < 8; i++ {
-			block[i] = 0
-		}
-		acc = field64.Mul(acc, k)
-		acc[0] ^= binary.LittleEndian.Uint64(block[:])
-	}
-	acc = field64.Mul(acc, k)
-	acc[0] ^= uint64(len(msg))
-	acc = field64.Mul(acc, k)
-	return acc[0]
-}
-
-// buildWCTable precomputes the multiply-by-key nibble tables for one
-// Wegman-Carter key (the GHASH software trick): tab[p][v] is
-// (v·x^(4p))·key in GF(2^64), so a field multiplication by key
-// becomes 16 table loads xored together — no allocation, no
-// reduction. 2 KiB per OTP SA, built once at construction.
-func buildWCTable(key uint64) *[16][16]uint64 {
-	var tab [16][16]uint64
-	for v := uint64(1); v < 16; v++ {
-		tab[0][v] = field64.Mul64(v, key)
-	}
-	for p := 1; p < 16; p++ {
-		for v := 1; v < 16; v++ {
-			tab[p][v] = field64.Mul64(tab[p-1][v], 0x10) // shift up one nibble: ·x^4
-		}
-	}
-	return &tab
-}
-
-// wcMul is one multiply-by-key step against the precomputed tables.
-func wcMul(tab *[16][16]uint64, x uint64) uint64 {
-	return tab[0][x&15] ^ tab[1][x>>4&15] ^ tab[2][x>>8&15] ^ tab[3][x>>12&15] ^
-		tab[4][x>>16&15] ^ tab[5][x>>20&15] ^ tab[6][x>>24&15] ^ tab[7][x>>28&15] ^
-		tab[8][x>>32&15] ^ tab[9][x>>36&15] ^ tab[10][x>>40&15] ^ tab[11][x>>44&15] ^
-		tab[12][x>>48&15] ^ tab[13][x>>52&15] ^ tab[14][x>>56&15] ^ tab[15][x>>60]
-}
-
-// wcHashTab is wcHash evaluated against a key's precomputed tables —
-// the packet-rate form: word-wide loads, zero allocations.
-func wcHashTab(tab *[16][16]uint64, msg []byte) uint64 {
-	var acc uint64
-	n := len(msg)
-	for len(msg) >= 8 {
-		acc = wcMul(tab, acc) ^ binary.LittleEndian.Uint64(msg)
-		msg = msg[8:]
-	}
-	if len(msg) > 0 {
-		var block [8]byte
-		copy(block[:], msg)
-		acc = wcMul(tab, acc) ^ binary.LittleEndian.Uint64(block[:])
-	}
-	acc = wcMul(tab, acc) ^ uint64(n)
-	return wcMul(tab, acc)
 }

@@ -131,9 +131,6 @@ func (r *Reservoir) Deposit(bits *bitarray.BitArray) {
 	r.serveLocked()
 }
 
-// DepositBytes appends 8*len(p) bits.
-func (r *Reservoir) DepositBytes(p []byte) { r.Deposit(bitarray.FromBytes(p)) }
-
 // Available returns the number of bits currently held.
 func (r *Reservoir) Available() int {
 	r.mu.Lock()

@@ -70,21 +70,11 @@ func (s *Service) NewStream(name string, blockBits int, class Class) (*Stream, e
 	return st, nil
 }
 
-// Stream returns a registered stream, or nil.
-func (s *Service) Stream(name string) *Stream {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.streams[name]
-}
-
 // Name returns the stream name.
 func (st *Stream) Name() string { return st.name }
 
 // BlockBits returns the fixed block size.
 func (st *Stream) BlockBits() int { return st.blockBits }
-
-// Class returns the stream's QoS class.
-func (st *Stream) Class() Class { return st.class }
 
 // AllocateWait requests `blocks` consecutive blocks, blocking in the
 // QoS scheduler until deposited key covers them, the timeout elapses

@@ -98,9 +98,9 @@ var flowMethods = map[memberKey][]TaintFlow{
 // material into one is the sanctioned way to persist it. Writing
 // tainted data into any OTHER struct field is a diagnostic.
 var secretFields = map[memberKey]bool{
+	{"auth", "MAC", "hash"}:            true, // a *gf2.PolyHash: the key as tables
 	{"ipsec", "SA", "pad"}:             true,
-	{"ipsec", "SA", "wcKey"}:           true,
-	{"ipsec", "SA", "wcTab"}:           true,
+	{"ipsec", "SA", "wc"}:              true, // a *gf2.PolyHash: the key as tables
 	{"keypool", "Reservoir", "buf"}:    true,
 	{"keypool", "Reservation", "bits"}: true,
 	{"keypool", "waiter", "bits"}:      true, // hand-off buffer to blocked withdrawals

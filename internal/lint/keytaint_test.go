@@ -8,5 +8,7 @@ import (
 )
 
 func TestKeyTaint(t *testing.T) {
-	linttest.Run(t, lint.KeyTaint, "keytaint")
+	for _, pkg := range []string{"keytaint", "auth"} {
+		linttest.Run(t, lint.KeyTaint, pkg)
+	}
 }

@@ -334,9 +334,3 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
 }
-
-// isPkgFunc reports whether fn is the package-level function pkgPath.name.
-func isPkgFunc(fn *types.Func, pkgPath, name string) bool {
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath &&
-		fn.Name() == name && fn.Type().(*types.Signature).Recv() == nil
-}

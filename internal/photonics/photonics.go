@@ -265,9 +265,6 @@ func NewLink(params Params, seed uint64) *Link {
 	}
 }
 
-// Params returns the link configuration.
-func (l *Link) Params() Params { return l.params }
-
 // Stats returns a snapshot of the accumulated counters.
 func (l *Link) Stats() Stats { return l.stats }
 

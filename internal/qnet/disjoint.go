@@ -15,9 +15,6 @@ type Route struct {
 	hops  []*Edge
 }
 
-// Hops returns the number of edges traversed.
-func (r Route) Hops() int { return len(r.hops) }
-
 // kDisjointPaths computes k pairwise vertex-disjoint src->dst paths of
 // minimum total weight over the given edges — Bhandari's algorithm
 // with node splitting. Every node v becomes v_in -> v_out joined by a

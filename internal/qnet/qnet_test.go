@@ -636,62 +636,3 @@ func TestStallBudgetExhaustionAbortsAndRefunds(t *testing.T) {
 		}
 	}
 }
-
-func TestDemandTransportSizesFromRegisteredDemand(t *testing.T) {
-	n, _ := stripeNet(t, 2, 1<<16, 2)
-	svc := kms.New(kms.Config{})
-	defer svc.Close()
-
-	// No registered demand: the floor applies.
-	tr, err := n.NewDemandTransport("gwA", "gwB", svc, 2, TransportOpts{MinDemandBits: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Run(16); err != nil {
-		t.Fatal(err)
-	}
-	d, err := tr.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Key.Len() != 1024 {
-		t.Fatalf("idle-demand transport delivered %d bits, want floor 1024", d.Key.Len())
-	}
-
-	// Registered demand sizes the transport (rounded up to chunks).
-	svc.RegisterDemand("otp/a", kms.ClassOTP, 3000)
-	svc.RegisterDemand("auth/pad", kms.ClassAuth, 500)
-	tr, err = n.NewDemandTransport("gwA", "gwB", svc, 2, TransportOpts{MinDemandBits: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Run(32); err != nil {
-		t.Fatal(err)
-	}
-	d, err = tr.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3500 bits of demand, chunk = 3500/8 floored to 437 -> 64-bit floor
-	// doesn't bind; rounded up to a whole number of chunks >= 3500.
-	if d.Key.Len() < 3500 {
-		t.Fatalf("demand transport delivered %d bits, want >= registered 3500", d.Key.Len())
-	}
-
-	// The ceiling clamps a demand spike.
-	svc.RegisterDemand("otp/a", kms.ClassOTP, 1<<30)
-	tr, err = n.NewDemandTransport("gwA", "gwB", svc, 2, TransportOpts{MinDemandBits: 1024, MaxDemandBits: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Run(16); err != nil {
-		t.Fatal(err)
-	}
-	d, err = tr.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Key.Len() != 4096 {
-		t.Fatalf("clamped transport delivered %d bits, want ceiling 4096", d.Key.Len())
-	}
-}

@@ -30,54 +30,6 @@ type TransportOpts struct {
 	// out with every reservation held and the cursor frozen, instead of
 	// burning the whole transport.
 	StallBudget int
-	// MinDemandBits / MaxDemandBits bound a demand-sized transport
-	// (NewDemandTransport): the floor keeps a quiet service trickling
-	// fresh key, the ceiling keeps a registered demand spike from
-	// reserving more pad than the relay mesh should commit to one
-	// transport. Defaults 1024 / 1 << 20.
-	MinDemandBits int
-	MaxDemandBits int
-}
-
-// DemandSource reports the windowed demand flow controllers have
-// registered with a key delivery service; *kms.Service implements it.
-type DemandSource interface {
-	RegisteredDemand(c kms.Class) int
-}
-
-// NewDemandTransport begins a striped transport sized by the registered
-// windowed demand at the destination's delivery service instead of a
-// caller-fixed nbits: the closed-loop replacement for pumping a
-// constant-size key regardless of need. The demand total (all classes)
-// is clamped to [MinDemandBits, MaxDemandBits], and the chunk size
-// defaults to 1/8 of the transport (64-bit floor) so delivery is
-// incremental rather than all-at-the-end.
-func (n *Network) NewDemandTransport(src, dst string, ds DemandSource, k int, opts TransportOpts) (*Transport, error) {
-	minBits, maxBits := opts.MinDemandBits, opts.MaxDemandBits
-	if minBits <= 0 {
-		minBits = 1024
-	}
-	if maxBits <= 0 {
-		maxBits = 1 << 20
-	}
-	nbits := ds.RegisteredDemand(-1)
-	if nbits < minBits {
-		nbits = minBits
-	}
-	if nbits > maxBits {
-		nbits = maxBits
-	}
-	if opts.ChunkBits <= 0 {
-		opts.ChunkBits = nbits / 8
-		if opts.ChunkBits < 64 {
-			opts.ChunkBits = 64
-		}
-	}
-	// Round up to whole chunks: demand is a target, not an exact size.
-	if rem := nbits % opts.ChunkBits; rem != 0 {
-		nbits += opts.ChunkBits - rem
-	}
-	return n.NewTransport(src, dst, nbits, k, opts)
 }
 
 // stripe is one share's path state.
@@ -236,9 +188,6 @@ func (t *Transport) DeliveredBits() int { return t.delivered * t.chunkBits }
 
 // Done reports whether the whole key has been delivered.
 func (t *Transport) Done() bool { return t.delivered == t.chunks }
-
-// Reroutes returns the number of stripe failovers so far.
-func (t *Transport) Reroutes() int { return t.reroutes }
 
 // Step advances the transport one round: every dead stripe fails over
 // to a fresh disjoint path, every live stripe moves one chunk of its

@@ -429,12 +429,6 @@ func (n *Network) findPath(src, dst string, nbits int) ([]string, error) {
 	return nil, ErrNoPath
 }
 
-// PathExists reports whether a transport of nbits could route now.
-func (n *Network) PathExists(src, dst string, nbits int) bool {
-	_, err := n.findPath(src, dst, nbits)
-	return err == nil
-}
-
 // FullMesh links every node pair: the N(N-1)/2 interconnect of the
 // paper's cost discussion.
 func FullMesh(seed uint64, rateBits int, names ...string) *Network {

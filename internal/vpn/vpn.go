@@ -494,31 +494,6 @@ func (n *Network) PumpQNet(nbits int) error {
 	return nil
 }
 
-// PumpQNetDemand is the closed-loop PumpQNet: the transport is sized
-// by the windowed demand flow controllers have registered with site A's
-// delivery service (clamped by the qnet defaults) instead of a
-// caller-fixed nbits — replenishment tracks what consumers actually
-// announced they need. Both mirrored feeds receive identical bits, so
-// the ledger contract is untouched.
-func (n *Network) PumpQNetDemand() error {
-	if n.qnet == nil {
-		return errors.New("vpn: no QNet configured (set Config.KDS and Config.QNet)")
-	}
-	tr, err := n.qnet.NewDemandTransport(n.qnetSrc, n.qnetDst, n.A.KDS, n.qnetK, qnet.TransportOpts{
-		FeedA: n.qnetFeedA, FeedB: n.qnetFeedB,
-	})
-	if err != nil {
-		return fmt.Errorf("vpn: qnet transport: %w", err)
-	}
-	if err := tr.Run(64); err != nil {
-		return fmt.Errorf("vpn: qnet transport: %w", err)
-	}
-	if _, err := tr.Finish(); err != nil {
-		return fmt.Errorf("vpn: qnet transport: %w", err)
-	}
-	return nil
-}
-
 // RekeyController exposes the rekeyer's flow controller (nil unless
 // Config.FlowControl) so harnesses can read its window and mark state.
 func (n *Network) RekeyController() *flow.Controller { return n.rekeyCtl }
@@ -1072,10 +1047,4 @@ func (n *Network) RunKeyRace(rounds, qkdFrames, packets, payloadBytes int) (KeyR
 	st := n.A.IKE.Stats()
 	res.BitsConsumed = st.QbitsConsumed
 	return res, nil
-}
-
-// WaitPool blocks until the named site's key supply holds bits or the
-// timeout passes.
-func WaitPool(pool keypool.Source, bits int, timeout time.Duration) error {
-	return ike.WaitAvailable(pool, bits, timeout)
 }

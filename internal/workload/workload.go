@@ -282,9 +282,6 @@ func (g *Generator) drawSize(c Class) int {
 	return int(x)
 }
 
-// TickIndex reports how many ticks have been generated.
-func (g *Generator) TickIndex() int { return g.tick }
-
 // FlashActive reports whether a flash crowd covers the NEXT tick.
 func (g *Generator) FlashActive() bool { return g.tick < g.flashUntil }
 
