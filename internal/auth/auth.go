@@ -158,9 +158,9 @@ func (c *Conn) recvCommon(recv func() (channel.Message, error)) (channel.Message
 		return channel.Message{}, err
 	}
 	if len(m.Payload) < TagSize {
-		// Too short to carry a tag, so there is nothing to verify; but
-		// the sender spent a pad on it, and so must Verify's mirror
-		// here, or every later message fails.
+		// Too short to carry a tag, so there is nothing to verify. The
+		// sender still spent a pad on it: spend ours as Verify would,
+		// or every later message fails.
 		if _, err := c.recv.pool.TryConsume(PadBitsPerMessage); err != nil {
 			return channel.Message{}, fmt.Errorf("auth: consuming verify pad: %w", err)
 		}
