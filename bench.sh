@@ -66,10 +66,9 @@
 #                                   KDS pressure signal, plus sampled
 #                                   overload-to-mark latency (DESIGN.md
 #                                   §13)
-#   ike     -> BENCH_ike.json       IKE quick mode: one negotiation from
-#                                   the lockstep pool, and one exchange
-#                                   over 1 or 32 tunnels (perfbench's
-#                                   rekey batch) keyed from KDS streams
+#   ike     -> BENCH_ike.json       IKE quick mode: one exchange over 1
+#                                   or 32 tunnels (perfbench's rekey
+#                                   batch) keyed from KDS streams
 #                                   (DESIGN.md §11); not gated
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -181,7 +180,6 @@ run_flow_group() {
 }
 
 run_ike_group() {
-    run ./internal/ike/ 'BenchmarkNegotiate$'
     run ./internal/ike/ 'BenchmarkNegotiateBatch$/^(1|32)$'
     emit BENCH_ike.json
 }

@@ -8,7 +8,7 @@
 //	qkdvpn                       # AES tunnel with QKD reseeding
 //	qkdvpn -suite otp            # one-time-pad tunnel
 //	qkdvpn -life-bytes 2000      # aggressive rollover
-//	qkdvpn -kds                  # key delivery via the per-site KDS
+//	qkdvpn -flow                 # flow-controlled background rekeys
 package main
 
 import (
@@ -31,7 +31,7 @@ func main() {
 	packets := flag.Int("packets", 20, "user packets to send")
 	km := flag.Float64("km", 0, "quantum link fiber length")
 	seed := flag.Uint64("seed", 2003, "simulation seed")
-	useKDS := flag.Bool("kds", false, "route key delivery through the per-site KDS and report its scheduler status")
+	useFlow := flag.Bool("flow", false, "pace background rekeys with a flow credit controller on the KDS pressure signal")
 	flag.Parse()
 
 	var cs ipsec.CipherSuite
@@ -66,8 +66,7 @@ func main() {
 			Duration: time.Duration(*lifeSecs) * time.Second,
 		},
 		OTPBits:     16384,
-		KDS:         *useKDS,
-		FlowControl: *useKDS,
+		FlowControl: *useFlow,
 		Seed:        *seed,
 		IKELogA:     prefixWriter("alice-gw racoon: "),
 		IKELogB:     prefixWriter("bob-gw   racoon: "),
@@ -111,9 +110,7 @@ func main() {
 	delivered, dropped := st.Delivered, st.Dropped
 	fmt.Printf("\n%d packets delivered, %d dropped; tunnel operational over quantum-distilled keys\n",
 		delivered, dropped)
-	if *useKDS {
-		printKDSStatus(n.A.KDS)
-	}
+	printKDSStatus(n.A.KDS)
 }
 
 // printKDSStatus reports the key delivery service's congestion signal

@@ -114,7 +114,6 @@ func E17ChaosSoak(seed uint64, quick bool) (*Report, error) {
 		Photonics: labParams(),
 		QKD:       core.Config{BatchBits: 2048},
 		Tunnels:   specs,
-		KDS:       true,
 		QNet:      qn,
 		QNetSrc:   "gwA",
 		QNetDst:   "gwB",

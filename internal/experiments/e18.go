@@ -478,7 +478,6 @@ func E18FlowControl(seed uint64, quick bool) (*Report, error) {
 	}
 	n, err := vpn.New(vpn.Config{
 		NoQKD:            true,
-		KDS:              true,
 		FlowControl:      true,
 		FlowConfig:       flow.Config{MarkHigh: 0.5, MarkLow: 0.25},
 		IKE:              ike.Config{Phase2Timeout: 150 * time.Millisecond},

@@ -237,44 +237,6 @@ func (f *Field) Square(a []uint64) []uint64 {
 	return f.reduce(sq)
 }
 
-// mul64 returns a*b in the degree-64 field without allocating; other
-// degrees get a wrong answer. NewPolyHash builds its tables with it.
-func (f *Field) mul64(a, b uint64) uint64 {
-	// 64x64 -> 128 carry-less multiply: 4-bit windowed comb over b
-	// against a stack table of the 16 nibble multiples of a.
-	var tl, th [16]uint64
-	tl[1] = a
-	for v := 2; v < 16; v += 2 {
-		tl[v] = tl[v/2] << 1
-		th[v] = th[v/2]<<1 | tl[v/2]>>63
-		tl[v+1] = tl[v] ^ a
-		th[v+1] = th[v]
-	}
-	var lo, hi uint64
-	for i := 60; i >= 0; i -= 4 {
-		hi = hi<<4 | lo>>60
-		lo <<= 4
-		v := (b >> uint(i)) & 15
-		lo ^= tl[v]
-		hi ^= th[v]
-	}
-	// Fold the high word back through the sparse polynomial:
-	// x^64 == sum of x^e over the non-leading exponents, so each pass
-	// xors the overflow in at every offset; the few bits that overflow
-	// again (shift > 0) go around once more until the carry clears.
-	for hi != 0 {
-		var carry uint64
-		for _, o := range f.fold {
-			lo ^= hi << o.shift
-			if o.shift != 0 {
-				carry ^= hi >> (64 - o.shift)
-			}
-		}
-		hi = carry
-	}
-	return lo
-}
-
 // reduce folds a (up to) 2N-bit polynomial down modulo f: whole words
 // above the boundary are cleared and xored back at the precomputed
 // per-exponent offsets (x^(N+64i) == sum_e x^(64i+e)). All xors are
@@ -611,8 +573,7 @@ func topBit(v []uint64) int {
 	return -1
 }
 
-func flipBit(v []uint64, i int)  { v[i/64] ^= 1 << (uint(i) % 64) }
-func clearBit(v []uint64, i int) { v[i/64] &^= 1 << (uint(i) % 64) }
+func flipBit(v []uint64, i int) { v[i/64] ^= 1 << (uint(i) % 64) }
 
 // ---------------------------------------------------------------------
 // Irreducibility (Rabin's test)

@@ -360,23 +360,4 @@ func TestKnownPolyTable(t *testing.T) {
 	}
 }
 
-func TestMul64MatchesMul(t *testing.T) {
-	f, err := NewField(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct{ a, b uint64 }{
-		{0, 0}, {1, 1}, {1, ^uint64(0)}, {^uint64(0), ^uint64(0)},
-		{1 << 63, 2}, {1 << 63, 1 << 63}, {0x10, 0x123456789abcdef0},
-	}
-	r := rng.NewSplitMix64(0x64646464)
-	for i := 0; i < 2000; i++ {
-		cases = append(cases, struct{ a, b uint64 }{r.Uint64(), r.Uint64()})
-	}
-	for _, c := range cases {
-		want := f.Mul([]uint64{c.a}, []uint64{c.b})[0]
-		if got := f.mul64(c.a, c.b); got != want {
-			t.Fatalf("mul64(%#x, %#x) = %#x, Mul says %#x", c.a, c.b, got, want)
-		}
-	}
-}
+func clearBit(v []uint64, i int) { v[i/64] &^= 1 << (uint(i) % 64) }

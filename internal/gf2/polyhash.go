@@ -2,8 +2,9 @@ package gf2
 
 import "encoding/binary"
 
-// field64 is GF(2^64), the field PolyHash evaluates in.
-var field64 = newField(64, knownPolys[64])
+// poly64 is x^64 reduced in GF(2^64): the low terms x^4 + x^3 + x + 1
+// of knownPolys[64], the field PolyHash evaluates in.
+const poly64 = 0x1B
 
 // PolyHash is the Wegman-Carter polynomial hash over GF(2^64) under
 // one 64-bit key k. A message m of n 8-byte little-endian blocks
@@ -27,15 +28,20 @@ type PolyHash struct {
 	tab [16][16]uint64
 }
 
-// NewPolyHash builds the tables for key.
+// NewPolyHash builds the tables for key. Each row is linear in its
+// nibble, so row p needs only k·x^(4p+i) for i = 0..3, each the one
+// before times x (a shift, and a fold of the bit shifted out through
+// poly64); its other entries are xors of those four.
 func NewPolyHash(key uint64) *PolyHash {
 	h := new(PolyHash)
-	for v := uint64(1); v < 16; v++ {
-		h.tab[0][v] = field64.mul64(v, key)
-	}
-	for p := 1; p < 16; p++ {
-		for v := 1; v < 16; v++ {
-			h.tab[p][v] = field64.mul64(h.tab[p-1][v], 0x10) // up one nibble: ·x^4
+	b := key // k·x^(4p+i) for the next i
+	for p := range h.tab {
+		row := &h.tab[p]
+		for i := 1; i < 16; i <<= 1 {
+			for v := 0; v < i; v++ {
+				row[i+v] = row[v] ^ b
+			}
+			b = b<<1 ^ (-(b >> 63) & poly64)
 		}
 	}
 	return h

@@ -12,11 +12,14 @@
 //   - Phase 2 ("quick mode") negotiates a pair of SAs per tunnel. The
 //     QKD extension ("QPFS") has the initiator offer a number of
 //     Qblocks — 1024-bit blocks of distilled key — which both ends
-//     withdraw from their mirrored reservoirs and fold into the KEYMAT
-//     PRF, reproducing the "KEYMAT using ... QBITS" path of Fig. 12.
-//     One-time-pad tunnels instead withdraw whole pad blocks per
-//     direction.
-//   - Negotiations block (bounded by Phase2Timeout) while the reservoir
+//     fold into the KEYMAT PRF, reproducing the "KEYMAT using ...
+//     QBITS" path of Fig. 12. One-time-pad tunnels instead take whole
+//     pad blocks per direction. Where the paper's ends withdraw in
+//     lockstep from mirrored reservoirs, here the initiator allocates
+//     a (stream, sequence) ticket from its key delivery service and
+//     carries it in the proposal, and both ends claim that identical
+//     ledger range from their mirrored services (internal/kms).
+//   - Negotiations block (bounded by Phase2Timeout) while the ledger
 //     accumulates enough bits — the paper's observation that IKE's
 //     default timeouts "may be too small for systems employing QKD",
 //     and the lever for Eve's denial-of-service.
@@ -40,7 +43,6 @@ import (
 	"qkd/internal/channel"
 	"qkd/internal/hmacsha1"
 	"qkd/internal/ipsec"
-	"qkd/internal/keypool"
 	"qkd/internal/kms"
 	"qkd/internal/rng"
 )
@@ -53,9 +55,9 @@ const TIKE uint8 = 0x40
 const QblockBits = 1024
 
 // Role distinguishes the link's designated negotiation initiator from
-// the responder. Only the initiator originates Phase 2 exchanges; one
-// negotiation installs SAs for both directions, so the responder never
-// needs to originate (and mirrored key pools stay in lockstep).
+// the responder. Only the initiator originates Phase 2 exchanges (and
+// allocates their tickets); one negotiation installs SAs for both
+// directions, so the responder never needs to originate.
 type Role int
 
 const (
@@ -77,7 +79,7 @@ type Config struct {
 	// Phase1Timeout bounds the initial exchange (default 30 s).
 	Phase1Timeout time.Duration
 	// Phase2Timeout bounds each quick-mode negotiation, including the
-	// wait for the key reservoir to fill (default 10 s).
+	// wait for the key ledger to fill (default 10 s).
 	Phase2Timeout time.Duration
 	// Qblocks is the number of 1024-bit QKD blocks folded into each
 	// conventional SA's KEYMAT (default 1).
@@ -145,17 +147,14 @@ type Daemon struct {
 	role Role
 	conn channel.Conn
 	gw   *ipsec.Gateway
-	pool keypool.Source
 	psk  []byte
 	cfg  Config
 	logw io.Writer
 
-	// Key delivery streams (optional, via SetKeyStreams). When set,
-	// quick mode withdraws key as (stream, sequence) tickets from the
-	// key delivery service instead of relying on lockstep pool
-	// withdrawal order: the initiator allocates a ticket under the QoS
-	// scheduler, carries it in the proposal, and both ends claim the
-	// identical ledger range.
+	// Key delivery streams: conventional suites draw Qblocks from
+	// qbStream, one-time-pad suites draw pads from otpStream. The
+	// initiator allocates a ticket under the QoS scheduler, carries it
+	// in the proposal, and both ends claim the identical ledger range.
 	qbStream  *kms.Stream
 	otpStream *kms.Stream
 
@@ -199,12 +198,13 @@ type Stats struct {
 	Phase2Backoffs uint64
 }
 
-// NewDaemon builds a daemon over the given control channel. pool is the
-// gateway's distilled-key supply — a raw reservoir (mirrored with the
-// peer's by the QKD layer) or a QoS handle of the key delivery service;
-// psk is the prepositioned Phase 1 secret; logw (may be nil) receives
-// racoon-style log lines.
-func NewDaemon(role Role, conn channel.Conn, gw *ipsec.Gateway, pool keypool.Source, psk []byte, cfg Config, logw io.Writer) *Daemon {
+// NewDaemon builds a daemon over the given control channel. qblocks and
+// otp are the gateway's key delivery streams for conventional and
+// one-time-pad suites; both daemons of a link take mirrored streams
+// (same names and block sizes on their respective services), and an
+// item whose suite has no stream (nil) fails. psk is the prepositioned
+// Phase 1 secret; logw (may be nil) receives racoon-style log lines.
+func NewDaemon(role Role, conn channel.Conn, gw *ipsec.Gateway, qblocks, otp *kms.Stream, psk []byte, cfg Config, logw io.Writer) *Daemon {
 	cfg = cfg.withDefaults()
 	base := uint32(0x01000000)
 	if role == Responder {
@@ -214,7 +214,8 @@ func NewDaemon(role Role, conn channel.Conn, gw *ipsec.Gateway, pool keypool.Sou
 		role:       role,
 		conn:       conn,
 		gw:         gw,
-		pool:       pool,
+		qbStream:   qblocks,
+		otpStream:  otp,
 		psk:        append([]byte(nil), psk...),
 		cfg:        cfg,
 		logw:       logw,
@@ -226,18 +227,8 @@ func NewDaemon(role Role, conn channel.Conn, gw *ipsec.Gateway, pool keypool.Sou
 	}
 }
 
-// SetKeyStreams switches quick-mode key withdrawal to the key delivery
-// service: conventional suites draw Qblocks from qblocks, one-time-pad
-// suites draw pads from otp. Both daemons of a link must be configured
-// with mirrored streams (same names and block sizes on their respective
-// KDS instances). Call before Start.
-func (d *Daemon) SetKeyStreams(qblocks, otp *kms.Stream) {
-	d.qbStream = qblocks
-	d.otpStream = otp
-}
-
 // streamFor maps a negotiated suite to its delivery stream (nil when
-// the daemon runs in legacy lockstep-pool mode).
+// the daemon was built without one).
 func (d *Daemon) streamFor(suite ipsec.CipherSuite) *kms.Stream {
 	if suite == ipsec.SuiteOTP {
 		return d.otpStream
@@ -335,7 +326,7 @@ func (d *Daemon) setSkeyid(ni, nr []byte) {
 }
 
 // Stop shuts the daemon down; in-flight negotiations fail, and any
-// pending responder-side key withdrawals are canceled.
+// pending responder-side ticket claims are canceled.
 func (d *Daemon) Stop() {
 	d.mu.Lock()
 	select {
@@ -412,11 +403,10 @@ func (d *Daemon) run() {
 		msgID := binary.BigEndian.Uint32(body[1:5])
 		switch kind {
 		case kindPh2BatchReq:
-			// Served off the receive loop so a blocking key withdrawal
-			// cannot deafen the daemon to a cancel for that very
-			// exchange; respMu keeps negotiations serialized (and the
-			// mirrored reservoirs consumed in lockstep). The abort
-			// channel is registered HERE, synchronously, before the
+			// Served off the receive loop so a ticket claim blocked on
+			// ledger coverage cannot deafen the daemon to a cancel for
+			// that very exchange; respMu keeps negotiations serialized.
+			// The abort channel is registered HERE, synchronously, before the
 			// handler goroutine exists: the channel delivers messages in
 			// order, so every cancel for this msgID is guaranteed to
 			// find the registration even while the handler is still
@@ -444,7 +434,7 @@ func (d *Daemon) run() {
 			}
 			payload := append([]byte(nil), body[5:]...)
 			go func() {
-				//lint:lockorder respMu serializes responder-side phase-2 handling across the blocking reservoir withdrawal by design (racoon handles one exchange at a time); the kindPh2Cancel path exists precisely to unblock it
+				//lint:lockorder respMu serializes responder-side phase-2 handling across the blocking ticket claim by design (racoon handles one exchange at a time); the kindPh2Cancel path exists precisely to unblock it
 				d.respMu.Lock()
 				defer d.respMu.Unlock()
 				defer func() {
@@ -461,10 +451,10 @@ func (d *Daemon) run() {
 			}()
 		case kindPh2Cancel:
 			// The initiator abandoned the exchange (its timeout is
-			// otherwise invisible here): release any withdrawal still
-			// blocked on the reservoir — or still queued — so key
-			// deposited afterwards feeds the retry, not the corpse. A
-			// miss means the exchange already completed; nothing to do.
+			// otherwise invisible here): abort any claim still blocked
+			// on ledger coverage — or still queued — and release the
+			// exchange's remaining ranges. A miss means the exchange
+			// already completed; nothing to do.
 			d.mu.Lock()
 			ch, ok := d.respCancel[msgID]
 			if ok {
@@ -472,7 +462,7 @@ func (d *Daemon) run() {
 			}
 			d.mu.Unlock()
 			if ok {
-				d.logf("INFO: isakmp.c:xxxx: peer abandoned phase 2 msgid %d, canceling pending withdrawal", msgID)
+				d.logf("INFO: isakmp.c:xxxx: peer abandoned phase 2 msgid %d, canceling pending claims", msgID)
 				close(ch)
 			}
 		case kindPh2Commit:

@@ -10,19 +10,36 @@ import (
 
 	"qkd/internal/channel"
 	"qkd/internal/ipsec"
-	"qkd/internal/keypool"
 	"qkd/internal/kms"
 	"qkd/internal/rng"
 )
 
 // harness builds two gateways joined by policies and two IKE daemons
-// over an in-memory control channel, with mirrored key reservoirs.
+// over an in-memory control channel, keyed from mirrored key delivery
+// services with "ike/qblocks" and "ike/otp" streams, as vpn keys them.
 type harness struct {
 	gwA, gwB     *ipsec.Gateway
 	dA, dB       *Daemon
-	poolA, poolB *keypool.Reservoir
+	kA, kB       *kms.Service
 	logA, logB   bytes.Buffer
 	polAB, polBA *ipsec.Policy
+}
+
+// deposit ingests the same bits into both services, as distillation
+// would.
+func (h *harness) deposit(bits int, seed uint64) {
+	material := rng.NewSplitMix64(seed).Bits(bits)
+	h.kA.Ingest(material.Clone())
+	h.kB.Ingest(material)
+}
+
+// checkLedgers fails the test unless both services' ledger cursors are
+// equal: both ends spent the same key.
+func (h *harness) checkLedgers(t *testing.T) {
+	t.Helper()
+	if a, b := h.kA.Cursor(), h.kB.Cursor(); a != b {
+		t.Errorf("ledger cursors differ: A %d, B %d", a, b)
+	}
 }
 
 func newHarness(t *testing.T, suite ipsec.CipherSuite, life ipsec.Lifetime, cfg Config, keyBits int) *harness {
@@ -52,16 +69,18 @@ func newHarnessConns(t *testing.T, suite ipsec.CipherSuite, life ipsec.Lifetime,
 	h.gwA = ipsec.NewGateway(ipsec.MustAddr("192.1.99.34"), ipsec.NewSPD(h.polAB, h.polBA))
 	h.gwB = ipsec.NewGateway(ipsec.MustAddr("192.1.99.35"), ipsec.NewSPD(h.polBA, h.polAB))
 
-	// Mirrored distilled-key reservoirs, as the QKD layer would fill.
-	material := rng.NewSplitMix64(99).Bits(keyBits)
-	h.poolA = keypool.New()
-	h.poolB = keypool.New()
-	h.poolA.Deposit(material.Clone())
-	h.poolB.Deposit(material)
+	// Mirrored key delivery services, as the QKD layer would fill.
+	h.kA, h.kB = kms.New(kms.Config{}), kms.New(kms.Config{})
+	t.Cleanup(func() { h.kA.Close(); h.kB.Close() })
+	qbA, otpA := keyStreams(t, h.kA)
+	qbB, otpB := keyStreams(t, h.kB)
+	if keyBits > 0 {
+		h.deposit(keyBits, 99)
+	}
 
 	psk := []byte("prepositioned-secret")
-	h.dA = NewDaemon(Initiator, connA, h.gwA, h.poolA, psk, cfgA, &h.logA)
-	h.dB = NewDaemon(Responder, connB, h.gwB, h.poolB, psk, cfgB, &h.logB)
+	h.dA = NewDaemon(Initiator, connA, h.gwA, qbA, otpA, psk, cfgA, &h.logA)
+	h.dB = NewDaemon(Responder, connB, h.gwB, qbB, otpB, psk, cfgB, &h.logB)
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- h.dB.Start() }()
@@ -73,6 +92,19 @@ func newHarnessConns(t *testing.T, suite ipsec.CipherSuite, life ipsec.Lifetime,
 	}
 	t.Cleanup(func() { h.dA.Stop(); h.dB.Stop() })
 	return h
+}
+
+// keyStreams registers vpn's two quick-mode streams on svc.
+func keyStreams(t testing.TB, svc *kms.Service) (qblocks, otp *kms.Stream) {
+	t.Helper()
+	qblocks, err := svc.NewStream("ike/qblocks", QblockBits, kms.ClassRekey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if otp, err = svc.NewStream("ike/otp", 1024, kms.ClassOTP); err != nil {
+		t.Fatal(err)
+	}
+	return qblocks, otp
 }
 
 // ping pushes one packet A-enclave -> B-enclave through both gateways.
@@ -122,10 +154,8 @@ func TestNegotiateEstablishesBidirectionalTunnel(t *testing.T) {
 			t.Fatalf("pong %d: %v", i, err)
 		}
 	}
-	// Both ends consumed identical key material in lockstep.
-	if h.poolA.Available() != h.poolB.Available() {
-		t.Errorf("pools desynced: %d vs %d", h.poolA.Available(), h.poolB.Available())
-	}
+	// Both ends spent the same ledger range.
+	h.checkLedgers(t)
 	sa := h.dA.Stats()
 	sb := h.dB.Stats()
 	if sa.SAsEstablished != 2 || sb.SAsEstablished != 2 {
@@ -207,14 +237,11 @@ func TestKeyRollover(t *testing.T) {
 	if rolled < 3 {
 		t.Errorf("expected several rollovers, got %d", rolled)
 	}
-	if h.poolA.Available() != h.poolB.Available() {
-		t.Errorf("pools desynced after rollovers: %d vs %d",
-			h.poolA.Available(), h.poolB.Available())
-	}
+	h.checkLedgers(t)
 }
 
 func TestExhaustedPoolTimesOut(t *testing.T) {
-	// Reservoirs too small for even one Qblock: negotiation must fail
+	// Ledgers too small for even one Qblock: negotiation must fail
 	// by timeout (waiting for key that never comes), the scenario that
 	// pressures IKE's timeout defaults (Section 7).
 	h := newHarness(t, ipsec.SuiteAES128CTR, ipsec.Lifetime{},
@@ -229,7 +256,7 @@ func TestExhaustedPoolTimesOut(t *testing.T) {
 }
 
 func TestLateKeyArrivalCompletesNegotiation(t *testing.T) {
-	// The reservoir fills mid-negotiation; the blocked responder
+	// The ledger fills mid-negotiation; the blocked allocation
 	// completes once bits arrive ("it may take a while to accumulate
 	// enough bits for a successful negotiation").
 	h := newHarness(t, ipsec.SuiteAES128CTR, ipsec.Lifetime{},
@@ -238,9 +265,7 @@ func TestLateKeyArrivalCompletesNegotiation(t *testing.T) {
 	go func() { done <- h.dA.Negotiate(h.polAB, "b-to-a") }()
 	time.Sleep(50 * time.Millisecond)
 	// QKD layer delivers a fresh batch to both ends.
-	batch := rng.NewSplitMix64(7).Bits(4096)
-	h.poolA.Deposit(batch.Clone())
-	h.poolB.Deposit(batch)
+	h.deposit(4096, 7)
 	if err := <-done; err != nil {
 		t.Fatalf("negotiation failed despite key arrival: %v", err)
 	}
@@ -250,13 +275,13 @@ func TestLateKeyArrivalCompletesNegotiation(t *testing.T) {
 }
 
 func TestMismatchedPoolsPoisonSAsUntilRollover(t *testing.T) {
-	// Residual error-correction failure: the two reservoirs disagree.
+	// Residual error-correction failure: the two ledgers disagree.
 	// IKE must NOT detect it; the SAs install and traffic fails
 	// integrity until the next rollover with clean key (Section 7).
 	h := newHarness(t, ipsec.SuiteAES128CTR, ipsec.Lifetime{}, Config{}, 0)
 	// Deposit DIFFERENT material on each side.
-	h.poolA.Deposit(rng.NewSplitMix64(1).Bits(8192))
-	h.poolB.Deposit(rng.NewSplitMix64(2).Bits(8192))
+	h.kA.Ingest(rng.NewSplitMix64(1).Bits(8192))
+	h.kB.Ingest(rng.NewSplitMix64(2).Bits(8192))
 	if err := h.dA.Negotiate(h.polAB, "b-to-a"); err != nil {
 		t.Fatalf("negotiation must succeed despite mismatched pools: %v", err)
 	}
@@ -265,15 +290,13 @@ func TestMismatchedPoolsPoisonSAsUntilRollover(t *testing.T) {
 		t.Fatalf("ping over poisoned SA: err = %v, want ErrIntegrity", err)
 	}
 	// Rollover with matching material restores service.
-	clean := rng.NewSplitMix64(3).Bits(8192)
-	h.poolA.Deposit(clean.Clone())
-	h.poolB.Deposit(clean)
+	h.deposit(8192, 3)
 	// Drain the remaining mismatched bits identically by consuming the
-	// same count from both pools (simulates both sides discarding the
+	// same count from both ledgers (simulates both sides discarding the
 	// corrupt batch).
-	na, nb := h.poolA.Available(), h.poolB.Available()
-	h.poolA.TryConsume(na - 8192)
-	h.poolB.TryConsume(nb - 8192)
+	na, nb := h.kA.Available(), h.kB.Available()
+	h.kA.PoolView(kms.ClassRekey).TryConsume(na - 8192)
+	h.kB.PoolView(kms.ClassRekey).TryConsume(nb - 8192)
 	if err := h.dA.Negotiate(h.polAB, "b-to-a"); err != nil {
 		t.Fatalf("rollover: %v", err)
 	}
@@ -390,92 +413,56 @@ func TestRekeyUpdatesKeys(t *testing.T) {
 	}
 }
 
-func BenchmarkNegotiate(b *testing.B) {
-	connA, connB := channel.MemPair(64)
-	polAB := &ipsec.Policy{Name: "a-to-b", Action: ipsec.Protect, Suite: ipsec.SuiteAES128CTR,
-		PeerGW: ipsec.MustAddr("192.1.99.35"),
-		Sel:    ipsec.Selector{Src: ipsec.MustPrefix("10.1.0.0/16"), Dst: ipsec.MustPrefix("10.2.0.0/16")}}
-	polBA := &ipsec.Policy{Name: "b-to-a", Action: ipsec.Protect, Suite: ipsec.SuiteAES128CTR,
-		PeerGW: ipsec.MustAddr("192.1.99.34"),
-		Sel:    ipsec.Selector{Src: ipsec.MustPrefix("10.2.0.0/16"), Dst: ipsec.MustPrefix("10.1.0.0/16")}}
-	gwA := ipsec.NewGateway(ipsec.MustAddr("192.1.99.34"), ipsec.NewSPD(polAB, polBA))
-	gwB := ipsec.NewGateway(ipsec.MustAddr("192.1.99.35"), ipsec.NewSPD(polBA, polAB))
-	material := rng.NewSplitMix64(1).Bits((b.N + 2) * QblockBits)
-	poolA, poolB := keypool.New(), keypool.New()
-	poolA.Deposit(material.Clone())
-	poolB.Deposit(material)
-	dA := NewDaemon(Initiator, connA, gwA, poolA, []byte("psk"), Config{}, nil)
-	dB := NewDaemon(Responder, connB, gwB, poolB, []byte("psk"), Config{}, nil)
-	go dB.Start()
-	if err := dA.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer dA.Stop()
-	defer dB.Stop()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := dA.Negotiate(polAB, "b-to-a"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestFailedOTPNegotiationLeavesPoolsSynced(t *testing.T) {
-	// Regression: a failed OTP negotiation (enough key for one pad but
-	// not two) must not consume from one reservoir without the other —
-	// a partial withdrawal silently poisons every later SA.
+	// Regression: a failed OTP negotiation must leave both ledgers at
+	// the same cursor — a side that spent a range the other did not
+	// would silently poison every later SA.
 	//
-	// The responder's own Phase2Timeout is deliberately much longer
-	// than the initiator's: the only way its withdrawal can end inside
-	// this test's window is the initiator's phase 2 cancel, so the
-	// poll below genuinely pins the cancel path (a responder-side
+	// The responder's ledger lags: A holds the pads, B has not been
+	// given them yet, so B's claim blocks. B's own Phase2Timeout is
+	// deliberately much longer than A's: the only way its claim can end
+	// inside this test's window is the initiator's phase 2 cancel, so
+	// the poll below genuinely pins the cancel path (a responder-side
 	// timeout would take 5 s and fail the test).
 	const phase2Timeout = 100 * time.Millisecond
 	h := newHarnessAsym(t, ipsec.SuiteOTP, ipsec.Lifetime{},
 		Config{Phase2Timeout: phase2Timeout},
 		Config{Phase2Timeout: 5 * time.Second}, 0)
-	// One pad's worth plus change: the atomic 2x withdrawal must fail.
-	material := rng.NewSplitMix64(5).Bits(4096 + 512)
-	h.poolA.Deposit(material.Clone())
-	h.poolB.Deposit(material)
+	pads := rng.NewSplitMix64(5).Bits(2 * 4096)
+	h.kA.Ingest(pads.Clone())
 
 	if err := h.dA.Negotiate(h.polAB, "b-to-a"); err == nil {
-		t.Fatal("negotiation succeeded with half the required pad")
+		t.Fatal("negotiation succeeded while the responder had no pad")
 	}
-	if h.poolA.Available() != h.poolB.Available() {
-		t.Fatalf("pools desynced after failed negotiation: %d vs %d",
-			h.poolA.Available(), h.poolB.Available())
-	}
-	// The initiator's timeout sends a phase 2 cancel, which tears down
-	// the responder's still-blocking pad withdrawal (recorded as a
-	// failed negotiation on the responder). Wait for that event — NOT
-	// for the responder's full Phase2Timeout window, which is the leak
-	// this regression test used to have to sleep out.
+	// The initiator's timeout sends a phase 2 cancel, which aborts the
+	// responder's still-blocking claim (recorded as a failed
+	// negotiation on the responder). Wait for that event — NOT for the
+	// responder's full Phase2Timeout window.
 	// Generous deadline for loaded/race-instrumented runners; it still
 	// sits well under the responder's 5 s timeout, so only the cancel
 	// path can satisfy it, and the loop exits the moment it does.
 	deadline := time.Now().Add(2 * time.Second)
 	for h.dB.Stats().Phase2Failed == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("responder never canceled its pending withdrawal")
+			t.Fatal("responder never canceled its pending claim")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// Top both up and confirm a clean tunnel comes up.
-	topup := rng.NewSplitMix64(6).Bits(2 * 4096)
-	h.poolA.Deposit(topup.Clone())
-	h.poolB.Deposit(topup)
+	h.checkLedgers(t)
+	// B catches up, both get a fresh batch, and a clean tunnel comes up.
+	h.kB.Ingest(pads)
+	h.deposit(2*4096, 6)
 	if err := h.dA.Negotiate(h.polAB, "b-to-a"); err != nil {
 		t.Fatalf("negotiation after refill: %v", err)
 	}
 	if err := h.ping(1); err != nil {
 		t.Fatalf("traffic over post-failure tunnel: %v", err)
 	}
+	h.checkLedgers(t)
 }
 
 func TestProposalTicketRoundTrip(t *testing.T) {
-	// The phase-2 wire format carries the KDS ticket intact; legacy
-	// proposals round-trip with the flag clear.
+	// The phase-2 wire format carries the KDS ticket intact.
 	p := &phase2Proposal{
 		PolicyName:    "a-to-b",
 		ReversePolicy: "b-to-a",
@@ -484,7 +471,6 @@ func TestProposalTicketRoundTrip(t *testing.T) {
 		LifeBytes:     1 << 20,
 		OTPBits:       16384,
 		SPI:           0x01000007,
-		HasTicket:     true,
 		TicketSeq:     42,
 		TicketOff:     987654321,
 		TicketBits:    32768,
@@ -496,74 +482,64 @@ func TestProposalTicketRoundTrip(t *testing.T) {
 	if *got != *p {
 		t.Fatalf("round trip mangled the proposal:\n got %+v\nwant %+v", got, p)
 	}
-	p.HasTicket = false
-	p.TicketSeq, p.TicketOff, p.TicketBits = 0, 0, 0
-	if got, err = decodeProposal(p.encode()); err != nil {
-		t.Fatal(err)
-	}
-	if got.HasTicket {
-		t.Fatal("legacy proposal decoded with a ticket")
-	}
 }
 
 func TestNegotiateOverKeyStreams(t *testing.T) {
-	// Daemons wired to mirrored KDS instances agree on SAs through
-	// (stream, sequence) tickets even though neither pool sees a
-	// lockstep withdrawal.
-	h := newHarness(t, ipsec.SuiteAES128CTR, ipsec.Lifetime{}, Config{Phase2Timeout: 2 * time.Second}, 64)
-	kA, kB := kms.New(kms.Config{}), kms.New(kms.Config{})
-	defer kA.Close()
-	defer kB.Close()
-	qbA, _ := kA.NewStream("ike/qblocks", QblockBits, kms.ClassRekey)
-	qbB, _ := kB.NewStream("ike/qblocks", QblockBits, kms.ClassRekey)
-	h.dA.SetKeyStreams(qbA, nil)
-	h.dB.SetKeyStreams(qbB, nil)
-	key := rng.NewSplitMix64(9).Bits(4 * QblockBits)
-	kA.Ingest(key.Clone())
-	kB.Ingest(key)
+	// Daemons on mirrored KDS instances agree on SAs through (stream,
+	// sequence) tickets: the initiator allocates, both ends claim the
+	// same ledger range, and no other key moves.
+	h := newHarness(t, ipsec.SuiteAES128CTR, ipsec.Lifetime{}, Config{}, 4*QblockBits)
 	if err := h.dA.Negotiate(h.polAB, "b-to-a"); err != nil {
 		t.Fatalf("ticketed negotiation: %v", err)
 	}
 	if err := h.ping(1); err != nil {
 		t.Fatalf("traffic over ticketed SAs: %v", err)
 	}
-	// The lockstep pools were never touched.
-	if _, ca := h.poolA.Stats(); ca != 0 {
-		t.Fatalf("initiator pool consumed %d bits in stream mode", ca)
+	for side, k := range map[string]*kms.Service{"initiator": h.kA, "responder": h.kB} {
+		if st := k.Stats(); st.ClaimedBits != QblockBits || st.ReleasedBits != 0 {
+			t.Fatalf("%s claimed %d and released %d bits, want %d and 0",
+				side, st.ClaimedBits, st.ReleasedBits, QblockBits)
+		}
 	}
-	if st := kB.Stats(); st.ClaimedBits != QblockBits {
-		t.Fatalf("responder claimed %d bits, want %d", st.ClaimedBits, QblockBits)
-	}
+	h.checkLedgers(t)
 }
 
 func TestRejectedTicketedProposalReleasesRange(t *testing.T) {
 	// A ticketed negotiation the responder rejects (unknown reverse
 	// policy) must release the claimed ledger range on the responder,
 	// or its claim frontier stalls behind the hole forever.
-	h := newHarness(t, ipsec.SuiteAES128CTR, ipsec.Lifetime{}, Config{Phase2Timeout: 2 * time.Second}, 64)
-	kA, kB := kms.New(kms.Config{}), kms.New(kms.Config{})
-	defer kA.Close()
-	defer kB.Close()
-	qbA, _ := kA.NewStream("ike/qblocks", QblockBits, kms.ClassRekey)
-	qbB, _ := kB.NewStream("ike/qblocks", QblockBits, kms.ClassRekey)
-	h.dA.SetKeyStreams(qbA, nil)
-	h.dB.SetKeyStreams(qbB, nil)
-	key := rng.NewSplitMix64(9).Bits(4 * QblockBits)
-	kA.Ingest(key.Clone())
-	kB.Ingest(key)
+	h := newHarness(t, ipsec.SuiteAES128CTR, ipsec.Lifetime{}, Config{Phase2Timeout: 2 * time.Second}, 4*QblockBits)
 	if err := h.dA.Negotiate(h.polAB, "no-such-policy"); !errors.Is(err, ErrRejected) {
 		t.Fatalf("err = %v, want ErrRejected", err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for kB.Stats().ReleasedBits != QblockBits {
+	for h.kB.Stats().ReleasedBits != QblockBits {
 		if time.Now().After(deadline) {
 			t.Fatalf("responder released %d bits, want %d (frontier leak)",
-				kB.Stats().ReleasedBits, QblockBits)
+				h.kB.Stats().ReleasedBits, QblockBits)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	// The next (valid) ticketed negotiation still works on both ends.
 	if err := h.dA.Negotiate(h.polAB, "b-to-a"); err != nil {
 		t.Fatalf("negotiation after rejected ticket: %v", err)
+	}
+	h.checkLedgers(t)
+}
+
+func TestItemWithoutStreamFails(t *testing.T) {
+	// A daemon without an OTP stream fails OTP items before anything
+	// reaches the wire, and conventional items still go.
+	h := newHarness(t, ipsec.SuiteOTP, ipsec.Lifetime{}, Config{}, 16*QblockBits)
+	h.dA.otpStream = nil
+	if err := h.dA.Negotiate(h.polAB, "b-to-a"); err == nil {
+		t.Fatal("OTP negotiation succeeded without an OTP stream")
+	}
+	if st := h.dA.Stats(); st.Phase2Initiated != 0 || st.Phase2Failed != 1 {
+		t.Errorf("Phase2Initiated = %d, Phase2Failed = %d, want 0 and 1", st.Phase2Initiated, st.Phase2Failed)
+	}
+	h.polAB.Suite = ipsec.SuiteAES128CTR
+	if err := h.dA.Negotiate(h.polAB, "b-to-a"); err != nil {
+		t.Fatalf("AES negotiation beside the missing OTP stream: %v", err)
 	}
 }

@@ -23,11 +23,9 @@ type phase2Proposal struct {
 	SPI           uint32 // initiator's inbound SPI
 	Nonce         [16]byte
 
-	// KDS ticket (HasTicket set): the (stream, sequence) key block the
-	// initiator allocated for this negotiation. The stream is implied
-	// by the suite; both ends claim the identical ledger range, so the
-	// mirrored reservoirs no longer need lockstep withdrawal order.
-	HasTicket  bool
+	// The KDS ticket: the (stream, sequence) key block the initiator
+	// allocated for this negotiation. The stream is implied by the
+	// suite; both ends claim the identical ledger range.
 	TicketSeq  uint64
 	TicketOff  uint64
 	TicketBits uint32
@@ -44,11 +42,6 @@ func (p *phase2Proposal) encode() []byte {
 	buf = binary.BigEndian.AppendUint64(buf, p.OTPBits)
 	buf = binary.BigEndian.AppendUint32(buf, p.SPI)
 	buf = append(buf, p.Nonce[:]...)
-	if p.HasTicket {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
 	buf = binary.BigEndian.AppendUint64(buf, p.TicketSeq)
 	buf = binary.BigEndian.AppendUint64(buf, p.TicketOff)
 	buf = binary.BigEndian.AppendUint32(buf, p.TicketBits)
@@ -64,7 +57,7 @@ func decodeProposal(b []byte) (*phase2Proposal, error) {
 	if p.ReversePolicy, b, err = takeString(b); err != nil {
 		return nil, err
 	}
-	if len(b) != 4+4+8+4+8+4+16+1+8+8+4 {
+	if len(b) != 4+4+8+4+8+4+16+8+8+4 {
 		return nil, fmt.Errorf("ike: bad proposal length %d", len(b))
 	}
 	p.Suite = ipsec.CipherSuite(binary.BigEndian.Uint32(b))
@@ -74,13 +67,9 @@ func decodeProposal(b []byte) (*phase2Proposal, error) {
 	p.OTPBits = binary.BigEndian.Uint64(b[20:])
 	p.SPI = binary.BigEndian.Uint32(b[28:])
 	copy(p.Nonce[:], b[32:48])
-	if b[48] > 1 {
-		return nil, fmt.Errorf("ike: bad ticket flag %d", b[48])
-	}
-	p.HasTicket = b[48] == 1
-	p.TicketSeq = binary.BigEndian.Uint64(b[49:])
-	p.TicketOff = binary.BigEndian.Uint64(b[57:])
-	p.TicketBits = binary.BigEndian.Uint32(b[65:])
+	p.TicketSeq = binary.BigEndian.Uint64(b[48:])
+	p.TicketOff = binary.BigEndian.Uint64(b[56:])
+	p.TicketBits = binary.BigEndian.Uint32(b[64:])
 	return p, nil
 }
 
@@ -195,43 +184,31 @@ func (d *Daemon) ticketOf(prop *phase2Proposal, st *kms.Stream) kms.Ticket {
 	}
 }
 
-// installSAs derives KEYMAT (or withdraws pads) and installs this
-// side's SAs. The initiator's outbound direction is always keyed first
-// so both reservoirs are consumed in the same order. ticketKey, when
-// non-nil, is the pre-claimed (stream, sequence) key block; otherwise
-// the key is withdrawn from the lockstep pool, abortable by cancel
-// (responder side: the exchange may die while the reservoir fills).
+// installSAs derives KEYMAT (or cuts pads) from the claimed ticket
+// block and installs this side's SAs. Both ends slice the same prefix
+// of the same ledger range, the initiator's outbound direction first.
 //
 // The initiator installs both directions. The responder installs its
 // inbound SA and returns its outbound one, which it holds until the
 // initiator commits (commitHeld).
-func (d *Daemon) installSAs(prop *phase2Proposal, spiR uint32, nonceR [16]byte, isInitiator bool, cancel <-chan struct{}, ticketKey *bitarray.BitArray) (*ipsec.SA, error) {
+func (d *Daemon) installSAs(prop *phase2Proposal, spiR uint32, nonceR [16]byte, isInitiator bool, ticketKey *bitarray.BitArray) (*ipsec.SA, error) {
 	life := ipsec.Lifetime{
 		Duration: time.Duration(prop.LifeSeconds) * time.Second,
 		Bytes:    prop.LifeBytes,
 	}
 	seed := append(append([]byte(nil), prop.Nonce[:]...), nonceR[:]...)
 
-	// withdraw pulls n bits of key: from the pre-claimed ticket block
-	// when the negotiation rode the key delivery service (both ends
-	// slice the same prefix of the same ledger range), or from the
-	// lockstep pool otherwise.
 	withdraw := func(n int) (*bitarray.BitArray, error) {
-		if ticketKey != nil {
-			if ticketKey.Len() < n {
-				return nil, fmt.Errorf("ticket block of %d bits short of %d", ticketKey.Len(), n)
-			}
-			return ticketKey.Slice(0, n), nil
+		if ticketKey.Len() < n {
+			return nil, fmt.Errorf("ticket block of %d bits short of %d", ticketKey.Len(), n)
 		}
-		return d.pool.ConsumeCancelable(n, d.cfg.Phase2Timeout, cancel)
+		return ticketKey.Slice(0, n), nil
 	}
 
 	var saIR, saRI *ipsec.SA // initiator->responder keyed by spiR; reverse by prop.SPI
 	if prop.Suite == ipsec.SuiteOTP {
-		// Withdraw both directions' pads in ONE atomic consume: a
-		// partial withdrawal on a failed negotiation would silently
-		// desynchronize the two ends' mirrored reservoirs, poisoning
-		// every subsequent SA.
+		// Both directions' pads come from the one ticket, so a failed
+		// negotiation burns them together on both ends.
 		pads, err := withdraw(2 * int(prop.OTPBits))
 		if err != nil {
 			return nil, fmt.Errorf("withdrawing OTP pads: %w", err)

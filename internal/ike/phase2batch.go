@@ -9,7 +9,6 @@ import (
 
 	"qkd/internal/bitarray"
 	"qkd/internal/ipsec"
-	"qkd/internal/keypool"
 	"qkd/internal/kms"
 )
 
@@ -99,8 +98,7 @@ func (d *Daemon) NegotiateBatch(items []BatchItem) ([]error, error) {
 	// Group the burst's key demand by delivery stream and allocate each
 	// stream's total in one scheduler pass; the parent grant is then
 	// sliced into block-aligned sub-tickets (one per tunnel) that ride
-	// in the proposals. Items without a stream fall back to lockstep
-	// pool withdrawal in wire order.
+	// in the proposals. An item whose suite has no stream fails.
 	keys := make([]*bitarray.BitArray, len(items))
 	type group struct {
 		st     *kms.Stream
@@ -113,6 +111,10 @@ func (d *Daemon) NegotiateBatch(items []BatchItem) ([]error, error) {
 	for i, it := range items {
 		st := d.streamFor(it.Policy.Suite)
 		if st == nil {
+			errs[i] = fmt.Errorf("ike: no key stream for suite %v", it.Policy.Suite)
+			d.mu.Lock()
+			d.stats.Phase2Failed++
+			d.mu.Unlock()
 			continue
 		}
 		needed := int(props[i].Qblocks) * QblockBits
@@ -141,7 +143,7 @@ func (d *Daemon) NegotiateBatch(items []BatchItem) ([]error, error) {
 			return aerr
 		})
 		if err != nil {
-			if errors.Is(err, keypool.ErrTimeout) {
+			if errors.Is(err, kms.ErrTimeout) {
 				err = ErrTimeout
 			}
 			for _, i := range g.idx {
@@ -171,7 +173,6 @@ func (d *Daemon) NegotiateBatch(items []BatchItem) ([]error, error) {
 				continue
 			}
 			keys[i] = key
-			props[i].HasTicket = true
 			props[i].TicketSeq = sub.Seq
 			props[i].TicketOff = sub.Offset
 			props[i].TicketBits = uint32(sub.Bits)
@@ -217,10 +218,10 @@ func (d *Daemon) NegotiateBatch(items []BatchItem) ([]error, error) {
 		return nil, err
 	case errors.Is(err, ErrTimeout):
 		failAll()
-		// Tell the responder the exchange is dead: a key withdrawal it
-		// is still blocked on would otherwise eat key deposited for our
-		// retry (the paper's IKE has no such notion; its
-		// mismatched-pool failures simply persist until rekey).
+		// Tell the responder the exchange is dead, so a claim it is
+		// still blocked on ends now rather than at its own timeout (the
+		// paper's IKE has no such notion; its mismatched-pool failures
+		// simply persist until rekey).
 		cancel := make([]byte, 5)
 		cancel[0] = kindPh2Cancel
 		binary.BigEndian.PutUint32(cancel[1:5], msgID)
@@ -260,7 +261,7 @@ func (d *Daemon) NegotiateBatch(items []BatchItem) ([]error, error) {
 		spiR := binary.BigEndian.Uint32(e[1:5])
 		var nonceR [16]byte
 		copy(nonceR[:], e[5:21])
-		if _, errs[i] = d.installSAs(props[i], spiR, nonceR, true, nil, keys[i]); errs[i] == nil {
+		if _, errs[i] = d.installSAs(props[i], spiR, nonceR, true, keys[i]); errs[i] == nil {
 			live[k] = 1
 		}
 	}
@@ -385,10 +386,8 @@ func (d *Daemon) handlePhase2Batch(msgID uint32, payload []byte, cancel <-chan s
 	d.logf("INFO: isakmp.c:1046:isakmp_ph2begin_r(): respond batched phase 2 negotiation: %d tunnels", len(props))
 
 	releaseTicket := func(prop *phase2Proposal) {
-		if prop.HasTicket {
-			if st := d.streamFor(prop.Suite); st != nil {
-				st.Release(d.ticketOf(prop, st))
-			}
+		if st := d.streamFor(prop.Suite); st != nil {
+			st.Release(d.ticketOf(prop, st))
 		}
 	}
 
@@ -439,22 +438,18 @@ func (d *Daemon) handlePhase2Batch(msgID uint32, payload []byte, cancel <-chan s
 		var nonceR [16]byte
 		d.rand.Bytes(nonceR[:])
 
-		var ticketKey *bitarray.BitArray
-		if prop.HasTicket {
-			st := d.streamFor(prop.Suite)
-			if st == nil {
-				fail("batch item %d: ticket offered but no delivery stream configured", n)
-				continue
-			}
-			tk := d.ticketOf(prop, st)
-			key, err := st.Claim(tk, d.cfg.Phase2Timeout, cancel)
-			if err != nil {
-				fail("batch item %d: claiming (%s, %d): %v", n, tk.Stream, tk.Seq, err)
-				continue
-			}
-			ticketKey = key
+		st := d.streamFor(prop.Suite)
+		if st == nil {
+			fail("batch item %d: no key stream for suite %v", n, prop.Suite)
+			continue
 		}
-		out, err := d.installSAs(prop, spiR, nonceR, false, cancel, ticketKey)
+		tk := d.ticketOf(prop, st)
+		key, err := st.Claim(tk, d.cfg.Phase2Timeout, cancel)
+		if err != nil {
+			fail("batch item %d: claiming (%s, %d): %v", n, tk.Stream, tk.Seq, err)
+			continue
+		}
+		out, err := d.installSAs(prop, spiR, nonceR, false, key)
 		if err != nil {
 			fail("batch item %d: %v", n, err)
 			continue

@@ -12,17 +12,15 @@ import (
 
 	"qkd/internal/channel"
 	"qkd/internal/ipsec"
-	"qkd/internal/keypool"
 	"qkd/internal/kms"
 	"qkd/internal/rng"
 )
 
 // batchHarness extends the two-policy harness with n extra tunnels
-// (t0..t(n-1), alternating AES and OTP suites) on both SPDs and wires
-// mirrored KDS streams for both suites.
-func newBatchHarness(t *testing.T, n int) (*harness, []BatchItem, *kms.Service, *kms.Service) {
+// (t0..t(n-1), alternating AES and OTP suites) on both SPDs.
+func newBatchHarness(t *testing.T, n int) (*harness, []BatchItem) {
 	t.Helper()
-	h := newHarness(t, ipsec.SuiteAES128CTR, ipsec.Lifetime{}, Config{Phase2Timeout: 2 * time.Second}, 64)
+	h := newHarness(t, ipsec.SuiteAES128CTR, ipsec.Lifetime{}, Config{Phase2Timeout: 2 * time.Second}, 64*1024)
 	items := make([]BatchItem, 0, n)
 	for i := 0; i < n; i++ {
 		suite := ipsec.SuiteAES128CTR
@@ -43,23 +41,12 @@ func newBatchHarness(t *testing.T, n int) (*harness, []BatchItem, *kms.Service, 
 		h.gwB.SPD.Add(ab)
 		items = append(items, BatchItem{Policy: ab, ReversePolicy: ba.Name})
 	}
-	kA, kB := kms.New(kms.Config{}), kms.New(kms.Config{})
-	t.Cleanup(func() { kA.Close(); kB.Close() })
-	qbA, _ := kA.NewStream("ike/qblocks", QblockBits, kms.ClassRekey)
-	qbB, _ := kB.NewStream("ike/qblocks", QblockBits, kms.ClassRekey)
-	otpA, _ := kA.NewStream("ike/otp", 1024, kms.ClassOTP)
-	otpB, _ := kB.NewStream("ike/otp", 1024, kms.ClassOTP)
-	h.dA.SetKeyStreams(qbA, otpA)
-	h.dB.SetKeyStreams(qbB, otpB)
-	key := rng.NewSplitMix64(9).Bits(64 * 1024)
-	kA.Ingest(key.Clone())
-	kB.Ingest(key)
-	return h, items, kA, kB
+	return h, items
 }
 
 func TestNegotiateBatchEstablishesManyTunnels(t *testing.T) {
 	const n = 8
-	h, items, _, _ := newBatchHarness(t, n)
+	h, items := newBatchHarness(t, n)
 	errs, err := h.dA.NegotiateBatch(items)
 	if err != nil {
 		t.Fatalf("NegotiateBatch: %v", err)
@@ -112,7 +99,7 @@ func TestNegotiateBatchPartialFailure(t *testing.T) {
 	// alone: the rest of the batch installs, and the responder releases
 	// the dead item's ledger range so its claim frontier advances.
 	const n = 4
-	h, items, _, kB := newBatchHarness(t, n)
+	h, items := newBatchHarness(t, n)
 	items[2].ReversePolicy = "no-such-policy"
 	errs, err := h.dA.NegotiateBatch(items)
 	if err != nil {
@@ -130,7 +117,7 @@ func TestNegotiateBatchPartialFailure(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for kB.Stats().ReleasedBits == 0 {
+	for h.kB.Stats().ReleasedBits == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("responder never released the rejected item's range")
 		}
@@ -173,7 +160,7 @@ func TestPhase2LogMarkers(t *testing.T) {
 	}
 
 	const n = 8
-	hb, items, _, _ := newBatchHarness(t, n)
+	hb, items := newBatchHarness(t, n)
 	errs, err := hb.dA.NegotiateBatch(items)
 	if err != nil {
 		t.Fatal(err)
@@ -303,10 +290,10 @@ func TestUnansweredCommitFailsExchange(t *testing.T) {
 
 // FuzzPhase2Batch: decoding a batched quick-mode request never panics,
 // and a body that decodes re-encodes to the same bytes. The seeds hold
-// TestProposalTicketRoundTrip's proposals, a ticket flag byte of 2 and
-// a trailing byte, both of which must be rejected.
+// TestProposalTicketRoundTrip's proposal and a variant, a short
+// proposal and a trailing byte, both of which must be rejected.
 func FuzzPhase2Batch(f *testing.F) {
-	ticketed := &phase2Proposal{
+	p := &phase2Proposal{
 		PolicyName:    "a-to-b",
 		ReversePolicy: "b-to-a",
 		Suite:         ipsec.SuiteOTP,
@@ -314,19 +301,20 @@ func FuzzPhase2Batch(f *testing.F) {
 		LifeBytes:     1 << 20,
 		OTPBits:       16384,
 		SPI:           0x01000007,
-		HasTicket:     true,
 		TicketSeq:     42,
 		TicketOff:     987654321,
 		TicketBits:    32768,
 	}
-	legacy := *ticketed
-	legacy.HasTicket = false
-	legacy.TicketSeq, legacy.TicketOff, legacy.TicketBits = 0, 0, 0
-	valid := encodeBatch(nil, []*phase2Proposal{ticketed, &legacy})
-	badFlag := bytes.Clone(valid)
-	badFlag[2+2+2+len(ticketed.PolicyName)+2+len(ticketed.ReversePolicy)+48] = 2
+	q := *p
+	q.Suite, q.OTPBits, q.Qblocks = ipsec.SuiteAES128CTR, 0, 1
+	q.TicketSeq, q.TicketOff, q.TicketBits = 43, 987654321+32768, QblockBits
+	valid := encodeBatch(nil, []*phase2Proposal{p, &q})
+	// The reverse policy's length claims one byte too many, which
+	// leaves the fixed fields one byte short.
+	short := encodeBatch(nil, []*phase2Proposal{p})
+	short[7+len(p.PolicyName)]++
 	f.Add(valid)
-	f.Add(badFlag)
+	f.Add(short)
 	f.Add(append(bytes.Clone(valid), 0))
 	f.Add(valid[:len(valid)-1])
 	f.Add(encodeBatch(nil, nil))
@@ -366,15 +354,13 @@ func BenchmarkNegotiateBatch(b *testing.B) {
 			kA, kB := kms.New(kms.Config{}), kms.New(kms.Config{})
 			defer kA.Close()
 			defer kB.Close()
-			qbA, _ := kA.NewStream("ike/qblocks", QblockBits, kms.ClassRekey)
-			qbB, _ := kB.NewStream("ike/qblocks", QblockBits, kms.ClassRekey)
+			qbA, otpA := keyStreams(b, kA)
+			qbB, otpB := keyStreams(b, kB)
 			key := rng.NewSplitMix64(1).Bits((b.N + 1) * n * QblockBits)
 			kA.Ingest(key.Clone())
 			kB.Ingest(key)
-			dA := NewDaemon(Initiator, connA, gwA, keypool.New(), []byte("psk"), Config{}, nil)
-			dB := NewDaemon(Responder, connB, gwB, keypool.New(), []byte("psk"), Config{}, nil)
-			dA.SetKeyStreams(qbA, nil)
-			dB.SetKeyStreams(qbB, nil)
+			dA := NewDaemon(Initiator, connA, gwA, qbA, otpA, []byte("psk"), Config{}, nil)
+			dB := NewDaemon(Responder, connB, gwB, qbB, otpB, []byte("psk"), Config{}, nil)
 			go dB.Start()
 			if err := dA.Start(); err != nil {
 				b.Fatal(err)

@@ -199,11 +199,10 @@ func NewSA(spi uint32, suite CipherSuite, key []byte, life Lifetime) (*SA, error
 }
 
 // NewOTPSA constructs a one-time-pad SA over the given pad block —
-// under IKE's QPFS extension a lockstep reservoir withdrawal, or (when
-// the gateway runs against the key delivery service) a (stream,
-// sequence) ticket block both ends claimed from their KDS. The
-// first 8 pad bytes become the Wegman-Carter polynomial key; the rest
-// encrypt and tag traffic until exhausted.
+// under IKE's QPFS extension a (stream, sequence) ticket block both
+// ends claimed from their KDS. The first 8 pad bytes become the
+// Wegman-Carter polynomial key; the rest encrypt and tag traffic until
+// exhausted.
 func NewOTPSA(spi uint32, pad []byte, life Lifetime) (*SA, error) {
 	if len(pad) < 64 {
 		return nil, fmt.Errorf("ipsec: OTP pad of %d bytes is uselessly small", len(pad))

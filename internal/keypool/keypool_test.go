@@ -47,57 +47,12 @@ func TestTryConsumeAllOrNothing(t *testing.T) {
 	}
 }
 
-func TestConsumeBlocksUntilDeposit(t *testing.T) {
-	r := New()
-	done := make(chan *bitarray.BitArray, 1)
-	go func() {
-		bits, err := r.Consume(64, time.Second)
-		if err != nil {
-			t.Errorf("Consume: %v", err)
-		}
-		done <- bits
-	}()
-	time.Sleep(20 * time.Millisecond)
-	select {
-	case <-done:
-		t.Fatal("Consume returned before deposit")
-	default:
-	}
-	r.Deposit(rng.NewSplitMix64(2).Bits(64))
-	select {
-	case bits := <-done:
-		if bits.Len() != 64 {
-			t.Errorf("got %d bits", bits.Len())
-		}
-	case <-time.After(time.Second):
-		t.Fatal("Consume never returned")
-	}
-}
-
-func TestConsumeTimeout(t *testing.T) {
-	r := New()
-	start := time.Now()
-	_, err := r.Consume(10, 50*time.Millisecond)
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-	if time.Since(start) < 40*time.Millisecond {
-		t.Error("returned before the deadline")
-	}
-}
-
 func TestClose(t *testing.T) {
 	r := New()
 	r.Deposit(bitarray.New(100))
-	blocked := make(chan error, 1)
-	go func() {
-		_, err := r.Consume(1000, 0)
-		blocked <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
 	r.Close()
-	if err := <-blocked; !errors.Is(err, ErrClosed) {
-		t.Errorf("blocked consumer got %v", err)
+	if r.Available() != 0 {
+		t.Errorf("Close kept %d bits", r.Available())
 	}
 	if _, err := r.TryConsume(1); !errors.Is(err, ErrClosed) {
 		t.Errorf("TryConsume after close: %v", err)
@@ -125,13 +80,15 @@ func TestManySmallConsumers(t *testing.T) {
 	r := New()
 	const workers = 8
 	const per = 64
+	src := rng.NewSplitMix64(3).Bits(workers * per)
+	r.Deposit(src)
 	var wg sync.WaitGroup
 	results := make([]*bitarray.BitArray, workers)
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			bits, err := r.Consume(per, 2*time.Second)
+			bits, err := r.TryConsume(per)
 			if err != nil {
 				t.Errorf("worker %d: %v", i, err)
 				return
@@ -139,8 +96,6 @@ func TestManySmallConsumers(t *testing.T) {
 			results[i] = bits
 		}(i)
 	}
-	src := rng.NewSplitMix64(3).Bits(workers * per)
-	r.Deposit(src)
 	wg.Wait()
 	// Every worker got per bits; total matches.
 	total := 0
@@ -207,167 +162,10 @@ func BenchmarkDepositConsume(b *testing.B) {
 	}
 }
 
-func TestConsumeCancelable(t *testing.T) {
-	r := New()
-	cancel := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		_, err := r.ConsumeCancelable(128, time.Second, cancel)
-		done <- err
-	}()
-	time.Sleep(5 * time.Millisecond) // let the consumer block
-	close(cancel)
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("got %v, want ErrCanceled", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("canceled consumer did not return")
-	}
-	// The canceled withdrawal must not race a subsequent deposit: bits
-	// deposited after the cancel remain fully available.
-	r.Deposit(bitarray.New(256))
-	if got := r.Available(); got != 256 {
-		t.Fatalf("canceled consumer ate the deposit: %d bits left", got)
-	}
-}
-
-func TestConsumeCancelableAlreadyCanceled(t *testing.T) {
-	r := New()
-	r.Deposit(bitarray.New(128))
-	cancel := make(chan struct{})
-	close(cancel)
-	// A pre-canceled withdrawal must refuse even available bits.
-	if _, err := r.ConsumeCancelable(64, 0, cancel); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("got %v, want ErrCanceled", err)
-	}
-	if r.Available() != 128 {
-		t.Fatal("pre-canceled consume still took bits")
-	}
-}
-
-func TestConsumeNilCancelStillTimesOut(t *testing.T) {
-	r := New()
-	start := time.Now()
-	if _, err := r.ConsumeCancelable(64, 20*time.Millisecond, nil); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("got %v, want ErrTimeout", err)
-	}
-	if time.Since(start) > time.Second {
-		t.Fatal("timeout wildly overshot")
-	}
-}
-
-func TestFIFOFairnessLargeHeadNotStarved(t *testing.T) {
-	// A large withdrawal arrives first; a stream of small later
-	// arrivals must not steal its deposits (the thundering-herd
-	// starvation of the old Broadcast design).
-	r := New()
-	bigDone := make(chan *bitarray.BitArray, 1)
-	go func() {
-		bits, err := r.Consume(1024, 5*time.Second)
-		if err != nil {
-			t.Errorf("large consumer: %v", err)
-		}
-		bigDone <- bits
-	}()
-	// Wait until the large ticket is queued.
-	for {
-		r.mu.Lock()
-		queued := len(r.waiters) == 1
-		r.mu.Unlock()
-		if queued {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	const smalls = 16
-	smallErrs := make(chan error, smalls)
-	for i := 0; i < smalls; i++ {
-		go func() {
-			_, err := r.Consume(64, 5*time.Second)
-			smallErrs <- err
-		}()
-	}
-	// Trickle in deposits smaller than the large request but large
-	// enough for any small one. The large head must absorb them all.
-	for i := 0; i < 7; i++ {
-		r.Deposit(rng.NewSplitMix64(uint64(i)).Bits(128))
-		time.Sleep(2 * time.Millisecond)
-		select {
-		case <-bigDone:
-			t.Fatal("large consumer returned before enough bits were deposited")
-		default:
-		}
-	}
-	r.Deposit(rng.NewSplitMix64(7).Bits(128)) // 8th chunk completes the head
-	select {
-	case bits := <-bigDone:
-		if bits.Len() != 1024 {
-			t.Fatalf("large consumer got %d bits", bits.Len())
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("large head starved: smaller later arrivals ate its deposits")
-	}
-	// Now feed the smalls.
-	r.Deposit(rng.NewSplitMix64(99).Bits(smalls * 64))
-	for i := 0; i < smalls; i++ {
-		if err := <-smallErrs; err != nil {
-			t.Fatalf("small consumer: %v", err)
-		}
-	}
-}
-
-func TestFIFOServiceOrder(t *testing.T) {
-	// Tickets are served in arrival order: with sequential deposits
-	// exactly matching each ticket, waiter i receives the i-th chunk.
-	r := New()
-	const n = 8
-	type res struct {
-		idx  int
-		bits *bitarray.BitArray
-	}
-	results := make(chan res, n)
-	for i := 0; i < n; i++ {
-		i := i
-		go func() {
-			bits, err := r.Consume(64, 5*time.Second)
-			if err != nil {
-				t.Errorf("waiter %d: %v", i, err)
-			}
-			results <- res{i, bits}
-		}()
-		// Ensure waiter i is queued before launching i+1 so arrival
-		// order is deterministic.
-		for {
-			r.mu.Lock()
-			queued := len(r.waiters) == i+1
-			r.mu.Unlock()
-			if queued {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	src := rng.NewSplitMix64(7).Bits(n * 64)
-	r.Deposit(src)
-	got := make(map[int]*bitarray.BitArray)
-	for i := 0; i < n; i++ {
-		rr := <-results
-		got[rr.idx] = rr.bits
-	}
-	for i := 0; i < n; i++ {
-		want := src.Slice(i*64, (i+1)*64)
-		if got[i] == nil || !got[i].Equal(want) {
-			t.Fatalf("waiter %d did not receive the %d-th FIFO chunk", i, i)
-		}
-	}
-}
-
 func TestConcurrentConservationStress(t *testing.T) {
-	// Many mixed-size blocking consumers against many depositors, under
-	// -race: every deposited bit is consumed exactly once (exact
-	// conservation) and nobody starves.
+	// Many mixed-size consumers retrying TryConsume against many
+	// depositors, under -race: every deposited bit is consumed exactly
+	// once (exact conservation) and nobody starves.
 	r := New()
 	sizes := []int{16, 64, 256, 1024}
 	const perSize = 8
@@ -385,7 +183,7 @@ func TestConcurrentConservationStress(t *testing.T) {
 			go func(sz int) {
 				defer wg.Done()
 				for i := 0; i < rounds; i++ {
-					bits, err := r.Consume(sz, 30*time.Second)
+					bits, err := tryConsumeUntil(r, sz, 30*time.Second)
 					if err != nil {
 						t.Errorf("consume %d: %v", sz, err)
 						return
@@ -428,86 +226,6 @@ func TestConcurrentConservationStress(t *testing.T) {
 	}
 	if r.Available() != 0 {
 		t.Fatalf("leftover %d bits", r.Available())
-	}
-}
-
-func TestTryConsumeDefersToQueuedWaiters(t *testing.T) {
-	// While a blocked ticket is queued, TryConsume must not jump the
-	// FIFO queue even when the balance could satisfy it.
-	r := New()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, err := r.Consume(256, 5*time.Second); err != nil {
-			t.Errorf("queued consumer: %v", err)
-		}
-	}()
-	for {
-		r.mu.Lock()
-		queued := len(r.waiters) == 1
-		r.mu.Unlock()
-		if queued {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	r.Deposit(bitarray.New(64)) // not enough for the head
-	if _, err := r.TryConsume(64); !errors.Is(err, ErrExhausted) {
-		t.Fatalf("TryConsume jumped the queue: %v", err)
-	}
-	r.Deposit(bitarray.New(192))
-	<-done
-	if _, err := r.TryConsume(0); err != nil {
-		t.Fatalf("empty queue TryConsume: %v", err)
-	}
-}
-
-func TestAbandonedHeadUnblocksTail(t *testing.T) {
-	// When a large head withdrawal times out, smaller tickets behind it
-	// must be served from the balance it was hoarding.
-	r := New()
-	headErr := make(chan error, 1)
-	go func() {
-		_, err := r.Consume(4096, 50*time.Millisecond)
-		headErr <- err
-	}()
-	for {
-		r.mu.Lock()
-		queued := len(r.waiters) == 1
-		r.mu.Unlock()
-		if queued {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	tailBits := make(chan *bitarray.BitArray, 1)
-	go func() {
-		bits, err := r.Consume(128, 5*time.Second)
-		if err != nil {
-			t.Errorf("tail: %v", err)
-		}
-		tailBits <- bits
-	}()
-	for {
-		r.mu.Lock()
-		queued := len(r.waiters) == 2
-		r.mu.Unlock()
-		if queued {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	r.Deposit(bitarray.New(128)) // satisfies tail, not head
-	if err := <-headErr; !errors.Is(err, ErrTimeout) {
-		t.Fatalf("head: %v, want ErrTimeout", err)
-	}
-	select {
-	case bits := <-tailBits:
-		if bits.Len() != 128 {
-			t.Fatalf("tail got %d bits", bits.Len())
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("tail not served after head abandoned")
 	}
 }
 
@@ -570,66 +288,6 @@ func TestReserveFailsWithoutDraining(t *testing.T) {
 	}
 	if got := r.Available(); got != 100 {
 		t.Errorf("failed Reserve drained the pool to %d", got)
-	}
-}
-
-func TestReserveDefersToQueuedWaiters(t *testing.T) {
-	r := New()
-	r.Deposit(rng.NewSplitMix64(4).Bits(256))
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		r.Consume(1024, 5*time.Second) // blocks: only 256 on hand
-	}()
-	for {
-		r.mu.Lock()
-		queued := len(r.waiters) == 1
-		r.mu.Unlock()
-		if queued {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	//lint:ignore reservepair Reserve must fail while a waiter is queued; a non-nil reservation would already be a bug the Fatalf reports
-	if _, err := r.Reserve(64); !errors.Is(err, ErrExhausted) {
-		t.Fatalf("Reserve jumped the waiter queue: %v", err)
-	}
-	r.Deposit(rng.NewSplitMix64(5).Bits(768))
-	<-done
-}
-
-func TestReleaseWakesWaiters(t *testing.T) {
-	r := New()
-	r.Deposit(rng.NewSplitMix64(6).Bits(512))
-	rv, err := r.Reserve(512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make(chan *bitarray.BitArray, 1)
-	go func() {
-		bits, err := r.Consume(512, 5*time.Second)
-		if err != nil {
-			t.Errorf("waiter: %v", err)
-		}
-		got <- bits
-	}()
-	for {
-		r.mu.Lock()
-		queued := len(r.waiters) == 1
-		r.mu.Unlock()
-		if queued {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	rv.Release()
-	select {
-	case bits := <-got:
-		if bits.Len() != 512 {
-			t.Errorf("waiter got %d bits", bits.Len())
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("refund did not wake the blocked waiter")
 	}
 }
 
@@ -703,13 +361,12 @@ func TestReservationOverdraw(t *testing.T) {
 }
 
 func TestConcurrentReserveReleaseRefundStress(t *testing.T) {
-	// Reservers racing blocking consumers under -race: each reservation
-	// draws a third of its bits and refunds the rest to the front via
-	// Release, the refunds wake queued withdrawals, and the buffer is
-	// rebuilt on every front-refund while consumers are mid-wait. At
-	// quiesce every deposited bit is either consumed exactly once or
-	// still available — exact conservation — and the refund ledger
-	// matches the undrawn remainders to the bit.
+	// Reservers racing consumers under -race: each reservation draws a
+	// third of its bits and refunds the rest to the front via Release,
+	// and the buffer is rebuilt on every front-refund while consumers
+	// retry. At quiesce every deposited bit is either consumed exactly
+	// once or still available — exact conservation — and the refund
+	// ledger matches the undrawn remainders to the bit.
 	r := New()
 	const (
 		reservers = 8
@@ -738,8 +395,7 @@ func TestConcurrentReserveReleaseRefundStress(t *testing.T) {
 			for round := 0; round < resRounds; {
 				rv, err := r.Reserve(resBits)
 				if errors.Is(err, ErrExhausted) {
-					// Drained, or blocked withdrawals hold the queue;
-					// depositors and releases will clear it.
+					// Drained; depositors and releases will refill it.
 					time.Sleep(50 * time.Microsecond)
 					continue
 				}
@@ -761,7 +417,7 @@ func TestConcurrentReserveReleaseRefundStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for round := 0; round < conRounds; round++ {
-				if _, err := r.Consume(conBits, 30*time.Second); err != nil {
+				if _, err := tryConsumeUntil(r, conBits, 30*time.Second); err != nil {
 					t.Errorf("consume: %v", err)
 					return
 				}
@@ -802,5 +458,18 @@ func TestConcurrentReserveReleaseRefundStress(t *testing.T) {
 	}
 	if got := r.Available(); got != slack {
 		t.Errorf("Available = %d at quiesce, want %d: conservation violated", got, slack)
+	}
+}
+
+// tryConsumeUntil retries TryConsume until it succeeds or the deadline
+// passes: a consumer polling a reservoir that depositors are filling.
+func tryConsumeUntil(r *Reservoir, n int, timeout time.Duration) (*bitarray.BitArray, error) {
+	deadline := time.Now().Add(timeout)
+	for {
+		bits, err := r.TryConsume(n)
+		if !errors.Is(err, ErrExhausted) || time.Now().After(deadline) {
+			return bits, err
+		}
+		time.Sleep(50 * time.Microsecond)
 	}
 }

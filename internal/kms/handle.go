@@ -8,16 +8,16 @@ import (
 )
 
 // PoolView adapts a Service to keypool.Pool, so consumers written
-// against the raw reservoir (IKE daemons, Wegman-Carter MACs, the
-// distillation engines' deposit path) plug into the KDS unchanged:
-// deposits ingest, and every withdrawal allocates and claims on a
-// one-bit-block stream at the view's class — TryConsume as an
-// immediate grant, Consume through the QoS scheduler.
+// against the raw reservoir (Wegman-Carter MACs, the distillation
+// engines' deposit path) plug into the KDS unchanged: deposits ingest,
+// and every withdrawal allocates and claims on a one-bit-block stream
+// at the view's class — TryConsume as an immediate grant, Consume
+// through the QoS scheduler.
 //
 // Withdrawals through a PoolView are granted in local request order,
-// so two mirrored PoolViews agree bit-for-bit only under the lockstep
-// discipline the raw reservoirs already required. Consumers that need
-// order-independent agreement use Streams directly.
+// so two mirrored PoolViews agree bit-for-bit only if both ends
+// withdraw in the same order. Consumers that need order-independent
+// agreement, as IKE does, use Streams directly.
 type PoolView struct {
 	svc *Service
 	st  *Stream
@@ -65,18 +65,13 @@ func (v *PoolView) TryConsume(n int) (*bitarray.BitArray, error) {
 	return v.st.Claim(tk, 0, nil)
 }
 
-// Consume blocks in the QoS scheduler at the view's class.
+// Consume removes exactly n bits, blocking in the QoS scheduler at the
+// view's class until they are granted or the timeout elapses (timeout
+// <= 0 blocks indefinitely).
 func (v *PoolView) Consume(n int, timeout time.Duration) (*bitarray.BitArray, error) {
-	return v.ConsumeCancelable(n, timeout, nil)
-}
-
-// ConsumeCancelable is Consume with an abort channel. A canceled
-// withdrawal never races a fresh deposit to the bits (keypool
-// contract): Next checks cancel before it queues.
-func (v *PoolView) ConsumeCancelable(n int, timeout time.Duration, cancel <-chan struct{}) (*bitarray.BitArray, error) {
 	if n == 0 {
 		return bitarray.New(0), nil
 	}
-	_, bits, err := v.st.Next(n, timeout, cancel)
+	_, bits, err := v.st.Next(n, timeout, nil)
 	return bits, err
 }

@@ -78,14 +78,14 @@ func (c Class) String() string {
 	return fmt.Sprintf("Class(%d)", int(c))
 }
 
-// Errors. The timeout/closed/canceled/exhausted values wrap their
-// keypool counterparts so consumers written against keypool.Source
-// (errors.Is(err, keypool.ErrTimeout) etc.) behave identically when
-// handed a KDS-backed source.
+// Errors. The closed and exhausted values wrap their keypool
+// counterparts so consumers written against keypool.Source
+// (errors.Is(err, keypool.ErrExhausted) etc.) behave identically when
+// handed a PoolView.
 var (
-	ErrTimeout   = fmt.Errorf("kms: timed out waiting for key delivery: %w", keypool.ErrTimeout)
+	ErrTimeout   = errors.New("kms: timed out waiting for key delivery")
 	ErrClosed    = fmt.Errorf("kms: service closed: %w", keypool.ErrClosed)
-	ErrCanceled  = fmt.Errorf("kms: request canceled: %w", keypool.ErrCanceled)
+	ErrCanceled  = errors.New("kms: request canceled")
 	ErrExhausted = fmt.Errorf("kms: insufficient key on hand: %w", keypool.ErrExhausted)
 	// ErrOverload is returned by admission control: the measured
 	// deposit rate cannot clear the queued demand ahead of this request

@@ -510,7 +510,7 @@ func TestPoolViewKeypoolSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := pool.Consume(156, time.Second)
+	a2, err := v.Consume(156, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +523,7 @@ func TestPoolViewKeypoolSemantics(t *testing.T) {
 		t.Fatalf("exhausted: %v", err)
 	}
 	start := time.Now()
-	if _, err := pool.Consume(64, 30*time.Millisecond); !errors.Is(err, keypool.ErrTimeout) {
+	if _, err := v.Consume(64, 30*time.Millisecond); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("timeout: %v", err)
 	}
 	if time.Since(start) < 20*time.Millisecond {
@@ -532,7 +532,7 @@ func TestPoolViewKeypoolSemantics(t *testing.T) {
 	// Blocked withdrawal resolves on deposit.
 	done := make(chan error, 1)
 	go func() {
-		_, err := pool.Consume(64, 5*time.Second)
+		_, err := v.Consume(64, 5*time.Second)
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -540,19 +540,19 @@ func TestPoolViewKeypoolSemantics(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	// Cancel releases a blocked withdrawal.
+	// Cancel releases a blocked withdrawal on the view's stream.
 	cancel := make(chan struct{})
 	go func() {
-		_, err := pool.ConsumeCancelable(128, 5*time.Second, cancel)
+		_, _, err := v.st.Next(128, 5*time.Second, cancel)
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
 	close(cancel)
-	if err := <-done; !errors.Is(err, keypool.ErrCanceled) {
+	if err := <-done; !errors.Is(err, ErrCanceled) {
 		t.Fatalf("cancel: %v", err)
 	}
 	s.Close()
-	if _, err := pool.Consume(1, time.Second); !errors.Is(err, keypool.ErrClosed) {
+	if _, err := v.Consume(1, time.Second); !errors.Is(err, keypool.ErrClosed) {
 		t.Fatalf("after close: %v", err)
 	}
 }
@@ -615,7 +615,7 @@ func TestConcurrentMixedLoadStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < 4; r++ {
-				bits, err := v.ConsumeCancelable(64, 200*time.Millisecond, nil)
+				bits, err := v.Consume(64, 200*time.Millisecond)
 				if err != nil {
 					continue // shed or timed out: fine for low class
 				}

@@ -63,17 +63,14 @@ type memberKey struct{ Pkg, Typ, Name string }
 // listed result indices. These are the module's withdrawal APIs plus
 // the distillation output.
 var secretMethods = map[memberKey][]int{
-	{"keypool", "Reservoir", "TryConsume"}:        {0},
-	{"keypool", "Reservoir", "Consume"}:           {0},
-	{"keypool", "Reservoir", "ConsumeCancelable"}: {0},
-	{"keypool", "Reservoir", "Withdraw"}:          {0},
-	{"keypool", "Reservation", "Consume"}:         {0},
-	{"kms", "PoolView", "TryConsume"}:             {0},
-	{"kms", "PoolView", "Consume"}:                {0},
-	{"kms", "PoolView", "ConsumeCancelable"}:      {0},
-	{"kms", "Stream", "Claim"}:                    {0},
-	{"kms", "Stream", "Next"}:                     {1},
-	{"privacy", "Params", "Apply"}:                {0}, // distilled key output
+	{"keypool", "Reservoir", "TryConsume"}: {0},
+	{"keypool", "Reservoir", "Withdraw"}:   {0},
+	{"keypool", "Reservation", "Consume"}:  {0},
+	{"kms", "PoolView", "TryConsume"}:      {0},
+	{"kms", "PoolView", "Consume"}:         {0},
+	{"kms", "Stream", "Claim"}:             {0},
+	{"kms", "Stream", "Next"}:              {1},
+	{"privacy", "Params", "Apply"}:         {0}, // distilled key output
 }
 
 // flowMethods are value-preserving transforms: the listed parameter
@@ -103,7 +100,6 @@ var secretFields = map[memberKey]bool{
 	{"ipsec", "SA", "wc"}:              true, // a *gf2.PolyHash: the key as tables
 	{"keypool", "Reservoir", "buf"}:    true,
 	{"keypool", "Reservation", "bits"}: true,
-	{"keypool", "waiter", "bits"}:      true, // hand-off buffer to blocked withdrawals
 }
 
 // methodKeyOf returns the intrinsic-table key for fn.

@@ -143,19 +143,17 @@ func namedOf(t types.Type) *types.Named {
 }
 
 // blockingWithdrawal recognizes the module's blocking key-withdrawal
-// APIs by shape: a Consume/Claim-family method in a key-plane package
-// taking a timeout.
+// APIs by shape: a Consume/Claim-family method in the key delivery
+// service taking a timeout.
 func blockingWithdrawal(fn *types.Func) string {
 	if fn == nil || fn.Pkg() == nil {
 		return ""
 	}
-	switch fn.Pkg().Name() {
-	case "keypool", "kms":
-	default:
+	if fn.Pkg().Name() != "kms" {
 		return ""
 	}
 	switch fn.Name() {
-	case "Consume", "ConsumeCancelable", "Claim", "Next", "AllocateWait":
+	case "Consume", "Claim", "Next", "AllocateWait":
 	default:
 		return ""
 	}

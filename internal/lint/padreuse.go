@@ -37,12 +37,11 @@ var PadReuse = &Analyzer{
 // padSourceCalls are the keypool/kms entry points that hand out key
 // material the caller then owns exclusively.
 var padSourceCalls = map[string]bool{
-	"Consume":           true,
-	"ConsumeCancelable": true,
-	"TryConsume":        true,
-	"Withdraw":          true,
-	"Claim":             true,
-	"Next":              true,
+	"Consume":    true,
+	"TryConsume": true,
+	"Withdraw":   true,
+	"Claim":      true,
+	"Next":       true,
 }
 
 func runPadReuse(pass *Pass) error {

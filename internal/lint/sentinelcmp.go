@@ -9,8 +9,8 @@ import (
 
 // SentinelCmp flags ==/!= comparisons (and switch cases) between an
 // error value and a sentinel error variable. The stack's degraded
-// modes key off sentinels that are routinely wrapped — kms.ErrTimeout
-// wraps keypool.ErrTimeout, gateways wrap ipsec.ErrExpired with SPI
+// modes key off sentinels that are routinely wrapped — kms.ErrExhausted
+// wraps keypool.ErrExhausted, gateways wrap ipsec.ErrExpired with SPI
 // context — so an identity comparison silently stops matching the
 // moment a layer adds context. errors.Is is the only correct match.
 var SentinelCmp = &Analyzer{

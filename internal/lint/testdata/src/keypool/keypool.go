@@ -4,13 +4,9 @@
 // []byte source, and a sentinel.
 package keypool
 
-import (
-	"errors"
-	"time"
-)
+import "errors"
 
 var ErrExhausted = errors.New("keypool: exhausted")
-var ErrTimeout = errors.New("keypool: timeout")
 
 type Reservoir struct{}
 
@@ -21,13 +17,6 @@ func (r *Reservoir) Reserve(n int) (*Reservation, error) {
 }
 
 func (r *Reservoir) Withdraw(n int) []byte { return make([]byte, n) }
-
-// Consume mirrors the real blocking withdrawal: Consume-family name,
-// key-plane package, timeout parameter.
-func (r *Reservoir) Consume(n int, timeout time.Duration) ([]byte, error) {
-	_ = timeout
-	return make([]byte, n), nil
-}
 
 type Reservation struct{ void bool }
 

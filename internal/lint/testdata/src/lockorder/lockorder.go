@@ -8,7 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"keypool"
+	"kms"
 	"lockdep"
 )
 
@@ -70,11 +70,11 @@ func waitHeld(wg *sync.WaitGroup) {
 	mu.Unlock()
 }
 
-var pool keypool.Reservoir
+var pool kms.PoolView
 
 func withdrawHeld() {
 	mu.Lock()
-	bits, _ := pool.Consume(16, time.Second) // want `lockorder\.mu held across blocking keypool\.Reservoir\.Consume`
+	bits, _ := pool.Consume(16, time.Second) // want `lockorder\.mu held across blocking kms\.PoolView\.Consume`
 	_ = bits
 	mu.Unlock()
 }

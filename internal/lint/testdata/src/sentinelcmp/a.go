@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"keypool"
+	"kms"
 )
 
 var ErrExpired = errors.New("sa expired")
@@ -33,8 +34,8 @@ func checkImported(err error) bool {
 
 func checkSwitch(err error) string {
 	switch err {
-	case keypool.ErrTimeout: // want `switch case compares error to sentinel ErrTimeout by identity`
-		return "timeout"
+	case kms.ErrOverload: // want `switch case compares error to sentinel ErrOverload by identity`
+		return "overload"
 	default:
 		return "other"
 	}

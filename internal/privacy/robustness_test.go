@@ -1,8 +1,10 @@
 package privacy
 
 import (
+	"encoding/binary"
+	"fmt"
+	"slices"
 	"testing"
-	"testing/quick"
 
 	"qkd/internal/rng"
 )
@@ -11,22 +13,51 @@ import (
 // garbage with an error, never panic — and never accept parameters
 // whose polynomial is reducible (which would break universality).
 
-func TestDecodeParamsNeverPanics(t *testing.T) {
-	f := func(p []byte) (ok bool) {
-		defer func() {
-			if recover() != nil {
-				ok = false
-			}
-		}()
-		q, err := DecodeParams(p)
-		if err == nil && q == nil {
-			return false
+// paramsInvariant reports how accepted parameters break the sizes
+// Apply relies on.
+func paramsInvariant(q *Params) error {
+	if q.M <= 0 || q.M > q.N() || q.Multiplier.Len() != q.N() || q.Addend.Len() != q.M {
+		return fmt.Errorf("M %d, N %d, multiplier %d bits, addend %d bits",
+			q.M, q.N(), q.Multiplier.Len(), q.Addend.Len())
+	}
+	return nil
+}
+
+// FuzzDecodeParams: DecodeParams never panics, anything it accepts has
+// consistent sizes, and it re-encodes to bytes that decode to the same
+// parameters. The grammar is not canonical (overlong varints and the
+// padding bits of the two bit fields decode), so the round trip
+// compares values, not bytes.
+func FuzzDecodeParams(f *testing.F) {
+	p, err := NewParams(256, 128, rng.NewSplitMix64(4))
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid := p.Encode()
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1])
+	f.Add(valid[:3])
+	// A 2^63-scale output length: it must be bounded before it is cast
+	// to int, where it would wrap negative.
+	_, mLen := binary.Uvarint(valid)
+	f.Add(append(binary.AppendUvarint(nil, 1<<63), valid[mLen:]...))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		q, err := DecodeParams(b)
+		if err != nil {
+			return
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
+		if err := paramsInvariant(q); err != nil {
+			t.Fatalf("accepted inconsistent params: %v", err)
+		}
+		again, err := DecodeParams(q.Encode())
+		if err != nil {
+			t.Fatalf("re-encoded params rejected: %v", err)
+		}
+		if again.M != q.M || !slices.Equal(again.PolyExps, q.PolyExps) ||
+			!again.Multiplier.Equal(q.Multiplier) || !again.Addend.Equal(q.Addend) {
+			t.Fatal("re-encoded params decode to a different value")
+		}
+	})
 }
 
 func TestDecodeParamsBitflips(t *testing.T) {
@@ -47,8 +78,8 @@ func TestDecodeParamsBitflips(t *testing.T) {
 		accepted++
 		// Anything accepted must still be structurally sound: a field
 		// polynomial the validator certified and consistent sizes.
-		if q.M <= 0 || q.M > q.N() || q.Multiplier.Len() != q.N() || q.Addend.Len() != q.M {
-			t.Fatalf("trial %d: accepted inconsistent params", trial)
+		if err := paramsInvariant(q); err != nil {
+			t.Fatalf("trial %d: accepted inconsistent params: %v", trial, err)
 		}
 	}
 	// Multiplier/addend flips are legitimately accepted (they are just

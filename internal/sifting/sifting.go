@@ -153,9 +153,14 @@ func DecodeSift(p []byte) (*SiftMessage, error) {
 			return nil, fmt.Errorf("sifting: slot gap %d: %w", i, err)
 		}
 		off = next
+		// Bound the gap before the signed add: a 2^64-1 gap would wrap
+		// to a step backwards.
+		if gap == 0 || gap > uint64(m.SlotsTotal) {
+			return nil, fmt.Errorf("sifting: slot gap %d out of order or range", gap)
+		}
 		slot := prev + int64(gap)
-		if gap == 0 || slot >= int64(m.SlotsTotal) {
-			return nil, fmt.Errorf("sifting: slot %d out of order or range", slot)
+		if slot >= int64(m.SlotsTotal) {
+			return nil, fmt.Errorf("sifting: slot %d out of range", slot)
 		}
 		m.Slots[i] = uint32(slot)
 		prev = slot

@@ -6,7 +6,6 @@ import (
 
 	"qkd/internal/ike"
 	"qkd/internal/ipsec"
-	"qkd/internal/kms"
 )
 
 // FabricConfig sizes a gateway fabric: Pairs independent gateway pairs
@@ -89,8 +88,6 @@ func NewFabric(cfg FabricConfig) (*Fabric, error) {
 	for p := 0; p < cfg.Pairs; p++ {
 		n, err := New(Config{
 			NoQKD:        true,
-			KDS:          true,
-			KDSConfig:    kms.Config{},
 			Tunnels:      specs,
 			IKE:          cfg.IKE,
 			OTPBits:      cfg.OTPBits,

@@ -52,12 +52,8 @@ func (n *Network) RestartSite(side byte) error {
 	cfgA.Seed ^= 0x9E3779B97F4A7C15 * gen
 	cfgB.Seed ^= 0xC2B2AE3D27D4EB4F * gen
 	connA, connB := channel.MemPair(64)
-	dA := ike.NewDaemon(ike.Initiator, connA, n.A.GW, n.A.Pool, vpnPSK, cfgA, n.ikeLogA)
-	dB := ike.NewDaemon(ike.Responder, connB, n.B.GW, n.B.Pool, vpnPSK, cfgB, n.ikeLogB)
-	if n.qbA != nil || n.otpA != nil {
-		dA.SetKeyStreams(n.qbA, n.otpA)
-		dB.SetKeyStreams(n.qbB, n.otpB)
-	}
+	dA := ike.NewDaemon(ike.Initiator, connA, n.A.GW, n.qbA, n.otpA, vpnPSK, cfgA, n.ikeLogA)
+	dB := ike.NewDaemon(ike.Responder, connB, n.B.GW, n.qbB, n.otpB, vpnPSK, cfgB, n.ikeLogB)
 	errCh := make(chan error, 1)
 	go func() { errCh <- dB.Start() }()
 	err := dA.Start()

@@ -29,7 +29,6 @@ import (
 	"qkd/internal/flow"
 	"qkd/internal/ike"
 	"qkd/internal/ipsec"
-	"qkd/internal/keypool"
 	"qkd/internal/kms"
 	"qkd/internal/photonics"
 	"qkd/internal/qnet"
@@ -94,21 +93,18 @@ type Config struct {
 	// is retried (default 5ms). Retries back off exponentially with
 	// jitter up to RekeyBackoffMax (default 500ms) and stop after
 	// RekeyRetryBudget attempts (default 8), leaving the tunnel to the
-	// next traffic-driven signal — so a starved reservoir produces a
+	// next traffic-driven signal — so a starved ledger produces a
 	// trickle of spaced retries, never a hot requeue loop.
 	RekeyBackoff     time.Duration
 	RekeyBackoffMax  time.Duration
 	RekeyRetryBudget int
-	// KDS routes all key delivery through a per-site kms.Service: the
-	// distillation engines deposit into the KDS, and the IKE daemons
-	// withdraw Qblocks and OTP pads as (stream, sequence) ticket claims
-	// under the QoS scheduler instead of lockstep pool withdrawals.
+	// KDS is ignored: key delivery always runs through a per-site
+	// kms.Service. The distillation engines deposit into it, and the
+	// IKE daemons draw Qblocks and OTP pads as (stream, sequence)
+	// ticket claims under its QoS scheduler.
 	KDS bool
-	// KDSConfig tunes the services when KDS is set (zero value = kms
-	// defaults with a fully synchronized ledger).
-	KDSConfig kms.Config
-	// FlowControl, with KDS, attaches a flow credit controller to the
-	// background rekeyer: batch bursts are paced by the controller's
+	// FlowControl attaches a flow credit controller to the background
+	// rekeyer: batch bursts are paced by the controller's
 	// AIMD window (ticked per batch against kms pressure marks) instead
 	// of always draining rekeyBatch tunnels, and a marked controller
 	// jumps retry backoff straight to the cap — the closed-loop
@@ -116,7 +112,7 @@ type Config struct {
 	FlowControl bool
 	// FlowConfig tunes the rekey controller when FlowControl is set.
 	FlowConfig flow.Config
-	// QNet, when set alongside KDS, supplements the direct link with
+	// QNet, when set, supplements the direct link with
 	// end-to-end key striped across the unified QKD network: PumpQNet
 	// transports key over QNetStripes vertex-disjoint paths and
 	// deposits it into both sites' services through mirrored "qnet"
@@ -137,10 +133,10 @@ type Config struct {
 type Site struct {
 	GW  *ipsec.Gateway
 	IKE *ike.Daemon
-	// Pool is the site's distilled-key supply: a raw reservoir, or the
-	// KDS-backed view when Config.KDS is set.
-	Pool keypool.Pool
-	// KDS is the site's key delivery service (nil unless Config.KDS).
+	// Pool is the site's key delivery service seen as a key pool at
+	// ClassRekey: deposits ingest into its ledger.
+	Pool *kms.PoolView
+	// KDS is the site's key delivery service.
 	KDS *kms.Service
 }
 
@@ -298,33 +294,28 @@ func New(cfg Config) (*Network, error) {
 		}}
 	}
 
-	// With a KDS per site, distillation deposits into the service and
+	// Each site has a KDS: distillation deposits into the service and
 	// quick mode draws (stream, sequence) blocks: "ike/qblocks" for
 	// conventional rekeys at ClassRekey, "ike/otp" for pad withdrawal
 	// at ClassOTP. Both sites register mirrored streams.
-	var kdsA, kdsB *kms.Service
-	var qbA, otpA, qbB, otpB *kms.Stream
-	poolA, poolB := keypool.Pool(keypool.New()), keypool.Pool(keypool.New())
-	if cfg.KDS {
-		kdsA, kdsB = kms.New(cfg.KDSConfig), kms.New(cfg.KDSConfig)
-		var err error
-		mk := func(svc *kms.Service) (qb, otp *kms.Stream) {
-			if err != nil {
-				return nil, nil
-			}
-			if qb, err = svc.NewStream("ike/qblocks", ike.QblockBits, kms.ClassRekey); err != nil {
-				return nil, nil
-			}
-			otp, err = svc.NewStream("ike/otp", 1024, kms.ClassOTP)
-			return qb, otp
-		}
-		qbA, otpA = mk(kdsA)
-		qbB, otpB = mk(kdsB)
+	kdsA, kdsB := kms.New(kms.Config{}), kms.New(kms.Config{})
+	var err error
+	mk := func(svc *kms.Service) (qb, otp *kms.Stream) {
 		if err != nil {
-			return nil, fmt.Errorf("vpn: building KDS streams: %w", err)
+			return nil, nil
 		}
-		poolA, poolB = kdsA.PoolView(kms.ClassRekey), kdsB.PoolView(kms.ClassRekey)
+		if qb, err = svc.NewStream("ike/qblocks", ike.QblockBits, kms.ClassRekey); err != nil {
+			return nil, nil
+		}
+		otp, err = svc.NewStream("ike/otp", 1024, kms.ClassOTP)
+		return qb, otp
 	}
+	qbA, otpA := mk(kdsA)
+	qbB, otpB := mk(kdsB)
+	if err != nil {
+		return nil, fmt.Errorf("vpn: building KDS streams: %w", err)
+	}
+	poolA, poolB := kdsA.PoolView(kms.ClassRekey), kdsB.PoolView(kms.ClassRekey)
 	// A fabric-scale network skips the photon-level session: the pools
 	// are charged synthetically instead (ChargeSynthetic).
 	var session *core.Session
@@ -359,7 +350,7 @@ func New(cfg Config) (*Network, error) {
 		seed:            cfg.Seed,
 	}
 	n.rekeyCond = sync.NewCond(&n.rekeyQMu)
-	if cfg.KDS && cfg.FlowControl {
+	if cfg.FlowControl {
 		// The rekey window starts at one batch worth of Qblocks and caps
 		// at a full rekeyBatch unless the caller says otherwise.
 		fc := cfg.FlowConfig
@@ -423,14 +414,10 @@ func New(cfg Config) (*Network, error) {
 	ikeConnA, ikeConnB := channel.MemPair(64)
 	cfgI := cfg.IKE
 	cfgI.Seed = cfg.Seed ^ 0x1CE
-	dA := ike.NewDaemon(ike.Initiator, ikeConnA, gwA, poolA, vpnPSK, cfgI, cfg.IKELogA)
+	dA := ike.NewDaemon(ike.Initiator, ikeConnA, gwA, qbA, otpA, vpnPSK, cfgI, cfg.IKELogA)
 	cfgR := cfg.IKE
 	cfgR.Seed = cfg.Seed ^ 0x2CE
-	dB := ike.NewDaemon(ike.Responder, ikeConnB, gwB, poolB, vpnPSK, cfgR, cfg.IKELogB)
-	if cfg.KDS {
-		dA.SetKeyStreams(qbA, otpA)
-		dB.SetKeyStreams(qbB, otpB)
-	}
+	dB := ike.NewDaemon(ike.Responder, ikeConnB, gwB, qbB, otpB, vpnPSK, cfgR, cfg.IKELogB)
 	// RestartSite rebuilds daemons from these.
 	n.ikeCfgA, n.ikeCfgB = cfgI, cfgR
 	n.ikeLogA, n.ikeLogB = cfg.IKELogA, cfg.IKELogB
@@ -438,7 +425,7 @@ func New(cfg Config) (*Network, error) {
 
 	n.A = &Site{GW: gwA, IKE: dA, Pool: poolA, KDS: kdsA}
 	n.B = &Site{GW: gwB, IKE: dB, Pool: poolB, KDS: kdsB}
-	if cfg.KDS && cfg.QNet != nil {
+	if cfg.QNet != nil {
 		if cfg.QNetStripes <= 0 {
 			cfg.QNetStripes = 2
 		}
@@ -477,7 +464,7 @@ func (n *Network) Tunnels() []string {
 // ingest order.
 func (n *Network) PumpQNet(nbits int) error {
 	if n.qnet == nil {
-		return errors.New("vpn: no QNet configured (set Config.KDS and Config.QNet)")
+		return errors.New("vpn: no QNet configured (set Config.QNet)")
 	}
 	tr, err := n.qnet.NewTransport(n.qnetSrc, n.qnetDst, nbits, n.qnetK, qnet.TransportOpts{
 		FeedA: n.qnetFeedA, FeedB: n.qnetFeedB,
@@ -502,8 +489,8 @@ func (n *Network) RekeyController() *flow.Controller { return n.rekeyCtl }
 // (nil unless Config.FlowControl).
 func (n *Network) AuthController() *flow.Background { return n.authCtl }
 
-// DistillKeys pumps QKD frames until both reservoirs hold at least
-// bits, within maxFrames.
+// DistillKeys pumps QKD frames until both sites' services hold at
+// least bits, within maxFrames.
 func (n *Network) DistillKeys(bits, maxFrames int) error {
 	if n.Session == nil {
 		return errors.New("vpn: NoQKD network has no distillation session (use ChargeSynthetic)")
@@ -513,7 +500,7 @@ func (n *Network) DistillKeys(bits, maxFrames int) error {
 
 // ChargeSynthetic deposits `bits` of identical deterministic key into
 // both sites' supplies, standing in for distillation on NoQKD
-// (fabric-scale) networks: the mirrored-reservoir invariant the QKD
+// (fabric-scale) networks: the mirrored-ledger invariant the QKD
 // layer normally provides — same bits, same order, both ends — is
 // preserved, just without simulating the photons that justify it.
 func (n *Network) ChargeSynthetic(bits int) {
@@ -525,7 +512,7 @@ func (n *Network) ChargeSynthetic(bits int) {
 
 // Establish starts both IKE daemons (Phase 1), negotiates every
 // tunnel's first SAs, and wires the gateways' soft-rekey signals into
-// the background rekeyer. The reservoirs must hold key material (run
+// the background rekeyer. The services must hold key material (run
 // DistillKeys first, or let the negotiation block on late arrival).
 func (n *Network) Establish() error {
 	errCh := make(chan error, 1)
@@ -620,7 +607,7 @@ func (n *Network) rekeyWorker() {
 		for i, r := range batch {
 			ts[i], gens[i] = r.t, r.gen
 		}
-		// A failed tunnel (starved reservoir, shed ticket, restarting
+		// A failed tunnel (starved ledger, shed ticket, restarting
 		// peer) re-queues itself after a jittered exponential backoff
 		// instead of bouncing hot between the dataplane signal and the
 		// queue; its rekeyPending flag stays held through the wait so
@@ -674,7 +661,7 @@ func (n *Network) backoffDelay(fails uint32) time.Duration {
 		// The flow controller marks well before pressure reaches the
 		// shed point — back off at the early signal, not the cliff.
 		d = n.rekeyBackoffMax
-	} else if s := n.A.KDS; s != nil && s.Pressure() >= 1 {
+	} else if n.A.KDS.Pressure() >= 1 {
 		d = n.rekeyBackoffMax
 	}
 	n.jitterMu.Lock()
@@ -813,12 +800,8 @@ func (n *Network) Close() {
 	if n.authCtl != nil {
 		n.authCtl.Close()
 	}
-	if n.A.KDS != nil {
-		n.A.KDS.Close()
-	}
-	if n.B.KDS != nil {
-		n.B.KDS.Close()
-	}
+	n.A.KDS.Close()
+	n.B.KDS.Close()
 }
 
 // Stats are the network's cumulative dataplane and robustness counters.

@@ -40,6 +40,15 @@ func fastConfig(suite ipsec.CipherSuite) Config {
 	}
 }
 
+// checkLedgers fails the test unless both sites' ledger cursors are
+// equal: both ends spent the same key.
+func checkLedgers(t *testing.T, n *Network) {
+	t.Helper()
+	if a, b := n.A.KDS.Cursor(), n.B.KDS.Cursor(); a != b || a == 0 {
+		t.Errorf("ledger cursors: A %d, B %d, want equal and nonzero", a, b)
+	}
+}
+
 func TestEndToEndVPN(t *testing.T) {
 	n, err := New(fastConfig(ipsec.SuiteAES128CTR))
 	if err != nil {
@@ -52,6 +61,7 @@ func TestEndToEndVPN(t *testing.T) {
 	if err := n.Establish(); err != nil {
 		t.Fatal(err)
 	}
+	checkLedgers(t, n)
 	// Traffic both directions.
 	got, err := n.Send(HostA, HostB, 1, []byte("hello bob"))
 	if err != nil {
@@ -70,6 +80,13 @@ func TestEndToEndVPN(t *testing.T) {
 	if d := n.Stats().Delivered; d != 2 {
 		t.Errorf("delivered = %d", d)
 	}
+	if err := n.DistillKeys(2048, 60); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Renegotiate(); err != nil {
+		t.Fatal(err)
+	}
+	checkLedgers(t, n)
 }
 
 func TestVPNOverOTP(t *testing.T) {
@@ -85,11 +102,19 @@ func TestVPNOverOTP(t *testing.T) {
 	if err := n.Establish(); err != nil {
 		t.Fatal(err)
 	}
+	checkLedgers(t, n)
 	for i := uint32(1); i <= 20; i++ {
 		if err := n.Ping(i); err != nil {
 			t.Fatalf("ping %d: %v", i, err)
 		}
 	}
+	if err := n.DistillKeys(2*8192, 300); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Renegotiate(); err != nil {
+		t.Fatal(err)
+	}
+	checkLedgers(t, n)
 }
 
 func TestTunnelHidesPlaintext(t *testing.T) {
@@ -554,15 +579,11 @@ func TestKDSModeEndToEnd(t *testing.T) {
 	// (stream, sequence) tickets, traffic flows — which proves the two
 	// endpoints resolved every ticket to bit-identical key.
 	cfg := fastConfig(ipsec.SuiteAES128CTR)
-	cfg.KDS = true
 	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	if n.A.KDS == nil || n.B.KDS == nil {
-		t.Fatal("KDS mode did not build per-site services")
-	}
 	if err := n.DistillKeys(2048, 60); err != nil {
 		t.Fatal(err)
 	}
@@ -597,7 +618,6 @@ func TestKDSModeEndToEnd(t *testing.T) {
 func TestKDSModeOTPTickets(t *testing.T) {
 	// One-time-pad tunnels draw pad blocks through the ClassOTP stream.
 	cfg := fastConfig(ipsec.SuiteOTP)
-	cfg.KDS = true
 	cfg.OTPBits = 4096
 	cfg.IKE.Phase2Timeout = 2 * time.Second
 	n, err := New(cfg)
@@ -645,7 +665,6 @@ func TestPumpQNetFeedsBothSites(t *testing.T) {
 	qn.Tick()
 
 	cfg := fastConfig(ipsec.SuiteAES128CTR)
-	cfg.KDS = true
 	cfg.QNet = qn
 	cfg.QNetSrc, cfg.QNetDst = "gwA", "gwB"
 	n, err := New(cfg)
@@ -968,7 +987,6 @@ func TestGatewayRestartMidRollover(t *testing.T) {
 		}
 	}
 	cfg := fastConfig(ipsec.SuiteAES128CTR)
-	cfg.KDS = true
 	cfg.Tunnels = specs
 	cfg.IKE.Phase2Timeout = 5 * time.Second
 	n, err := New(cfg)

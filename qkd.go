@@ -140,11 +140,14 @@ func NewAuthenticatedSession(p LinkParams, cfg Config, frameSlots int, seed uint
 	return core.NewAuthenticatedSession(p, cfg, frameSlots, seed, prepositionBits)
 }
 
-// KeyReservoir is the distilled-key FIFO shared with consumers.
+// KeyReservoir is the distilled-key FIFO a session deposits into.
+// Withdrawals never block: TryConsume and Reserve take all they ask
+// for or fail. Consumers that wait for key draw it from a KDS.
 type KeyReservoir = keypool.Reservoir
 
 // KeySource and KeyPool are the consumer- and two-sided views of a key
-// supply: satisfied by *KeyReservoir and by KDS handles alike.
+// supply, whose withdrawals never block: satisfied by *KeyReservoir
+// and by a KDS's PoolView alike.
 type (
 	KeySource = keypool.Source
 	KeyPool   = keypool.Pool
